@@ -37,7 +37,6 @@ from .params import (
 )
 from .pde import (
     Grid,
-    SpatialSystemState,
     aggregate,
     check_conditions_spatial,
     laplacian_neumann,
@@ -71,7 +70,6 @@ __all__ = [
     "ParameterSet",
     "SpatialParameterSet",
     "SpatialSystem",
-    "SpatialSystemState",
     "Trajectory",
     "Violation",
     "WithinHostSystem",

@@ -33,7 +33,6 @@ __all__ = [
     "anisotropy_matrix",
     "radial_squared",
     "spatial_weight",
-    "control_spatial",
 ]
 
 
@@ -176,9 +175,3 @@ def spatial_weight(points: np.ndarray, i: int, sp: SpatialParameterSet, dim: int
     r2 = radial_squared(points, m, sp.center(i, dim))
     return (np.sin(r2) ** 2 + 1.0) / 2.0
 
-
-def control_spatial(t: float, points: np.ndarray, sp: SpatialParameterSet, dim: int) -> np.ndarray:
-    """Spatial control ``u(t,x) = sin^2(|M (x - x0)|^2) * u(t)`` in ``[0, 1]``."""
-    m = anisotropy_matrix(sp.base.seed, dim, sp.anisotropy_scale)
-    r2 = radial_squared(points, m, sp.center(0, dim))
-    return np.sin(r2) ** 2 * control(t, sp.base)

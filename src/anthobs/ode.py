@@ -12,11 +12,13 @@ correction uses three terms:
   and the rate the estimate would predict;
 * a growth-saturation term that steers the volume estimate towards its
   logistic equilibrium.
+
+The state tuples hold floats here and fields in :mod:`anthobs.pde`; the
+``*_field`` corrections and the condition diagnostics serve both models.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,36 +38,45 @@ __all__ = [
     "growth_saturation",
     "interior_indicator",
     "make_measurement",
+    "phi1_field",
+    "phi2_field",
+    "phi3_field",
+    "condition_report",
     "check_conditions",
-    "OdeConditionReport",
+    "ConditionReport",
 ]
 
 #: Denominators smaller than this are treated as singular in diagnostics.
 SINGULAR_TOL = 1e-9
 
 
+#: A state or measurement component: a float (within-host model) or a field
+#: of one grid shape (spatial model).
+Value = float | np.ndarray
+
+
 class ModelState(NamedTuple):
-    theta: float
-    v: float
-    rho: float
+    theta: Value
+    v: Value
+    rho: Value
 
     @property
-    def rot_volume(self) -> float:
+    def rot_volume(self) -> Value:
         """Derived rot volume ``rho * v``; never an independent state."""
         return self.rho * self.v
 
 
 class ObserverState(NamedTuple):
-    theta_hat: float
-    v_hat: float
+    theta_hat: Value
+    v_hat: Value
 
 
 class Measurement(NamedTuple):
     """Observable stream: volume, rot proportion and its time derivative."""
 
-    v: float
-    rho: float
-    drho_dt: float
+    v: Value
+    rho: Value
+    drho_dt: Value
 
 
 def model_rhs(t: float, s: ModelState, p: ParameterSet) -> tuple[float, float, float]:
@@ -87,9 +98,9 @@ def model_rhs(t: float, s: ModelState, p: ParameterSet) -> tuple[float, float, f
     return dtheta, dv, drho
 
 
-def interior_indicator(x: float) -> float:
-    """1 if ``x`` lies strictly inside ``]0, 1[``, else 0."""
-    return 1.0 if 0.0 < x < 1.0 else 0.0
+def interior_indicator(x: Value) -> Value:
+    """Whether ``x`` lies strictly inside ``]0, 1[`` (elementwise on arrays)."""
+    return (x > 0.0) & (x < 1.0)
 
 
 def volume_gap(t: float, theta_hat: float, v_hat: float, m: Measurement,
@@ -170,21 +181,50 @@ def make_measurement(t: float, s: ModelState, mode: str = "exact",
 
 
 # ---------------------------------------------------------------------------
+# correction terms on arrays (spatial observer, diagnostics)
+# ---------------------------------------------------------------------------
+
+def phi1_field(theta_hat: np.ndarray, v_hat: np.ndarray, v_meas: np.ndarray,
+               epsilon: float) -> np.ndarray:
+    """:func:`volume_gap` on arrays (same branches; divides only where active)."""
+    active = (v_meas <= v_hat) & interior_indicator(theta_hat) & (v_hat > 0.0)
+    ratio = np.divide(v_meas, v_hat, out=np.ones(np.shape(active)), where=active)
+    return np.where(active, (1.0 - ratio) * (1.0 + epsilon - theta_hat), 0.0)
+
+
+def phi2_field(theta_hat: np.ndarray, drho_meas: np.ndarray,
+               predicted: np.ndarray) -> np.ndarray:
+    """:func:`rot_innovation` on arrays, given the rot rate the estimate predicts."""
+    return np.where(interior_indicator(theta_hat), drho_meas - predicted, 0.0)
+
+
+def phi3_field(t: float, theta_hat: np.ndarray, v_hat: np.ndarray,
+               p: ParameterSet) -> np.ndarray:
+    """:func:`growth_saturation` on arrays."""
+    cap = 1.0 + p.epsilon - theta_hat
+    if np.any(cap <= 0.0):
+        raise ValueError(f"1+epsilon-theta_hat <= 0 somewhere at t={t}")
+    return 1.0 - v_hat / (cap * forcing.volume_capacity(t, p) * p.v_max)
+
+
+# ---------------------------------------------------------------------------
 # convergence-condition diagnostics
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OdeConditionReport:
-    """Empirical infima of the observer convergence conditions on a trajectory.
+class ConditionReport:
+    """Empirical infima of the observer convergence conditions on a run.
 
-    ``alpha_inf`` / ``alpha_zero_times``: smallest sampled inhibition forcing
-    and the times where it (numerically) vanishes.  ``coercivity_inf`` is the
-    smallest sampled ratio ``|rot_forcing(theta) - rot_forcing(theta_hat)| /
-    |theta - theta_hat|`` (``None`` when no sample has ``theta != theta_hat``).
+    Infima are taken over every sample: each recorded time, and for the
+    spatial model each grid cell.  ``alpha_inf`` / ``alpha_zero_times``:
+    smallest sampled inhibition forcing and the times where it (numerically)
+    vanishes somewhere.  ``coercivity_inf`` is the smallest sampled ratio
+    ``|rot_forcing(theta) - rot_forcing(theta_hat)| / |theta - theta_hat|``
+    (``None`` when no sample has ``theta != theta_hat``).
     ``stability1_inf`` / ``stability2_inf`` are the infima of the two gain
-    stability expressions, with singular samples (``v`` or ``1 - theta*w``
-    below tolerance) excluded and counted.  ``dominance_inf`` is the smallest
-    margin ``k2*|innovation| - k1*volume_gap``.
+    stability expressions ``alpha*w + k1*delta*R`` and ``... + k2*phi2``,
+    with singular samples excluded and counted; ``None`` when not evaluable.
+    ``dominance_inf`` is the smallest margin ``k2*|phi2| - k1*phi1``.
     """
 
     alpha_inf: float
@@ -199,82 +239,89 @@ class OdeConditionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _stability_fraction(t, th, v, p, a, w):
-    """Shared fraction of both stability expressions; None when singular."""
-    if v < SINGULAR_TOL or abs(1.0 - th * w) < SINGULAR_TOL or a < SINGULAR_TOL:
-        return None
-    eta = forcing.volume_capacity(t, p)
-    num = forcing.growth_forcing(t, th, p) * (
-        eta * p.v_max * (1.0 + p.epsilon - th) - v
+def condition_report(batches, p: ParameterSet, k1: float, k2: float,
+                     notes: list[str]) -> ConditionReport:
+    """Condition infima over every sample of one run's ``batches``.
+
+    A batch ``(t, alpha, w, theta, rot, rot_hat, o, m, ratio, excluded)``
+    broadcasts: its times, inhibition forcing, control weight, true rate, rot
+    forcing at ``theta`` and at ``theta_hat`` (with the measured ``v, rho``),
+    observer state, measurement, stability factor ``R`` (``None``: not
+    evaluable when ``k1 > 0``) and the samples excluded as singular.
+    """
+    infima: dict[str, list] = {key: [] for key in ("alpha", "coer", "s1", "s2", "dom")}
+    zero_times: list[float] = []
+    n_coer = n_excluded = 0
+    for t, alpha, w, theta, rot, rot_hat, o, m, ratio, excluded in batches:
+        err = np.abs(theta - o.theta_hat)
+        informative = err > 1e-12
+        coer = np.abs(rot - rot_hat)[informative] / err[informative]
+        phi2 = phi2_field(o.theta_hat, m.drho_dt, rot_hat * (1.0 - m.rho))
+        dom = k2 * np.abs(phi2) - k1 * phi1_field(o.theta_hat, o.v_hat, m.v, p.epsilon)
+        zero_times += np.unique(np.broadcast_to(t, np.shape(alpha))[alpha < SINGULAR_TOL]).tolist()
+        infima["alpha"].append(np.min(alpha))
+        infima["dom"].append(np.min(dom))
+        if coer.size:
+            infima["coer"].append(coer.min())
+            n_coer += coer.size
+        if k1 != 0.0 and ratio is None:
+            continue
+        k1d = k1 * interior_indicator(o.theta_hat)
+        with np.errstate(invalid="ignore", over="ignore"):
+            k1_term = np.where(k1d != 0.0, k1d * ratio, 0.0) if k1 else 0.0
+        expr1 = np.broadcast_to(alpha * w + k1_term, phi2.shape)
+        keep = ~np.broadcast_to(excluded, phi2.shape)
+        n_excluded += phi2.size - int(np.count_nonzero(keep))
+        if np.any(keep):
+            infima["s1"].append(expr1[keep].min())
+            infima["s2"].append((expr1 + k2 * phi2)[keep].min())
+
+    def inf(key):
+        return float(min(infima[key])) if infima[key] else None
+
+    if n_coer == 0:
+        notes = notes + ["coercivity: no informative samples (theta_hat == theta throughout)"]
+    return ConditionReport(
+        alpha_inf=inf("alpha"),
+        alpha_zero_times=zero_times,
+        coercivity_inf=inf("coer"),
+        coercivity_samples=n_coer,
+        stability1_inf=inf("s1"),
+        stability1_excluded=n_excluded,
+        stability2_inf=inf("s2"),
+        stability2_excluded=n_excluded,
+        dominance_inf=inf("dom"),
+        notes=notes,
     )
-    return num / (a * eta * v * p.v_max * (1.0 - th * w))
 
 
-def check_conditions(traj, p: ParameterSet) -> OdeConditionReport:
+def check_conditions(traj, p: ParameterSet) -> ConditionReport:
     """Evaluate the convergence-condition diagnostics along a trajectory.
 
     ``traj`` is a recorded :class:`~anthobs.stepping.Trajectory` of the
-    coupled within-host system.  The report carries per-condition infima over
-    the sampled times; non-evaluable samples are flagged, never fatal.
+    coupled within-host system; all records are evaluated in one batch.
+    Samples where the stability fraction is singular and ``k1*delta != 0``
+    are excluded and counted; non-evaluable samples are never fatal.
     """
-    times = traj.times
-    if len(times) == 0:
+    if len(traj.times) == 0:
         raise ValueError("empty trajectory")
-    notes: list[str] = []
-
-    alphas = forcing.inhibition_forcing_series(times, p)
-    alpha_inf = float(np.min(alphas))
-    alpha_zero_times = [float(t) for t, a in zip(times, alphas) if a < SINGULAR_TOL]
-
-    coer_ratios: list[float] = []
-    s1_vals: list[float] = []
-    s2_vals: list[float] = []
-    dom_vals: list[float] = []
-    s1_excl = 0
-    s2_excl = 0
-    for i, t in enumerate(times):
-        t = float(t)
-        th, v, rho = (float(x) for x in traj.truth[i])
-        th_hat, v_hat = (float(x) for x in traj.observer[i])
-        m = Measurement(*(float(x) for x in traj.measurements[i]))
-        a = float(alphas[i])
-        w = forcing.inhibition_weight(t, p)
-
-        if abs(th - th_hat) > 1e-12:
-            gap = abs(
-                forcing.rot_forcing(t, th, m.v, m.rho, p)
-                - forcing.rot_forcing(t, th_hat, m.v, m.rho, p)
-            )
-            coer_ratios.append(gap / abs(th - th_hat))
-
-        k1d = p.k1 * interior_indicator(th_hat)
-        phi2 = rot_innovation(t, th_hat, m, p)
-        phi1 = volume_gap(t, th_hat, v_hat, m, p)
-        dom_vals.append(p.k2 * abs(phi2) - p.k1 * phi1)
-
-        if k1d == 0.0:
-            frac_term = 0.0
-        else:
-            frac = _stability_fraction(t, th, v, p, a, w)
-            if frac is None:
-                s1_excl += 1
-                s2_excl += 1
-                continue
-            frac_term = k1d * frac
-        s1_vals.append(a * w + k1d + frac_term)
-        s2_vals.append(a * w + k1d + p.k2 * phi2 + frac_term)
-
-    if not coer_ratios:
-        notes.append("coercivity: no informative samples (theta_hat == theta throughout)")
-    return OdeConditionReport(
-        alpha_inf=alpha_inf,
-        alpha_zero_times=alpha_zero_times,
-        coercivity_inf=min(coer_ratios) if coer_ratios else None,
-        coercivity_samples=len(coer_ratios),
-        stability1_inf=min(s1_vals) if s1_vals else None,
-        stability1_excluded=s1_excl,
-        stability2_inf=min(s2_vals) if s2_vals else None,
-        stability2_excluded=s2_excl,
-        dominance_inf=min(dom_vals) if dom_vals else None,
-        notes=notes,
-    )
+    t = traj.times
+    theta, v, _ = traj.truth.T
+    o = ObserverState(*traj.observer.T)
+    m = Measurement(*traj.measurements.T)
+    alpha = forcing.inhibition_forcing_series(t, p)
+    w = forcing.inhibition_weight_series(t, p)
+    rot = np.vectorize(forcing.rot_forcing)
+    ratio, excluded = None, False
+    if p.k1 != 0.0:
+        # R = 1 + frac, frac singular where v, 1 - theta*w or alpha vanishes
+        eta = np.vectorize(forcing.volume_capacity)(t, p)
+        num = np.vectorize(forcing.growth_forcing)(t, theta, p) * (
+            eta * p.v_max * (1.0 + p.epsilon - theta) - v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = 1.0 + num / (alpha * eta * v * p.v_max * (1.0 - theta * w))
+        excluded = interior_indicator(o.theta_hat) & (
+            (v < SINGULAR_TOL) | (np.abs(1.0 - theta * w) < SINGULAR_TOL) | (alpha < SINGULAR_TOL))
+    batch = (t, alpha, w, theta, rot(t, theta, m.v, m.rho, p), rot(t, o.theta_hat, m.v, m.rho, p),
+             o, m, ratio, excluded)
+    return condition_report([batch], p, p.k1, p.k2, [])

@@ -139,6 +139,18 @@ def gain_cap(dt: float) -> float:
     return 1.0 / (10.0 * dt)
 
 
+def _check_gains(out: list[Violation], gains: dict[str, float], dt: float) -> None:
+    """Gains must be finite, >= 0 and (for a positive step) within the cap."""
+    for key, k in gains.items():
+        if k < 0.0 or not math.isfinite(k):
+            out.append(Violation(key, f"{key}={k} must be finite and >= 0", hard=True))
+    top = max(gains, key=gains.get)
+    if dt > 0 and gains[top] > gain_cap(dt):
+        out.append(Violation(
+            top, f"gain cap exceeded: max({','.join(gains)})={gains[top]} >"
+            f" 1/(10*dt)={gain_cap(dt)}", hard=True))
+
+
 def _check_selector(out: list[Violation], key: str, value: str, allowed) -> None:
     if value not in allowed:
         out.append(Violation(key, f"{key}={value!r} not one of {sorted(allowed)}", hard=True))
@@ -168,17 +180,7 @@ def validate(p: ParameterSet) -> list[Violation]:
         out.append(Violation(
             "eta_star",
             f"eta_star={p.eta_star} must lie in ]0,1[ (lower bound of eta)"))
-    for key in ("k1", "k2"):
-        k = getattr(p, key)
-        if k < 0.0 or not math.isfinite(k):
-            out.append(Violation(key, f"{key}={k} must be finite and >= 0", hard=True))
-    if p.dt > 0 and max(p.k1, p.k2) > gain_cap(p.dt):
-        out.append(Violation(
-            "k1" if p.k1 >= p.k2 else "k2",
-            f"gain cap exceeded: max(k1,k2)={max(p.k1, p.k2)} >"
-            f" 1/(10*dt)={gain_cap(p.dt)}",
-            hard=True,
-        ))
+    _check_gains(out, {"k1": p.k1, "k2": p.k2}, p.dt)
     for key in ("b1", "b2", "b3"):
         if getattr(p, key) < 0.0:
             out.append(Violation(key, f"{key}={getattr(p, key)} must be >= 0 (nonnegative forcing)"))
@@ -237,17 +239,7 @@ def validate_spatial(sp: SpatialParameterSet) -> list[Violation]:
         out.append(Violation("spatial_profile",
                              f"spatial_profile={sp.spatial_profile!r} not one of"
                              " ['radial', 'uniform']", hard=True))
-    for key in ("K1", "K2"):
-        k = getattr(sp, key)
-        if k < 0.0 or not math.isfinite(k):
-            out.append(Violation(key, f"{key}={k} must be finite and >= 0", hard=True))
-    if sp.base.dt > 0 and max(sp.K1, sp.K2) > gain_cap(sp.base.dt):
-        out.append(Violation(
-            "K1" if sp.K1 >= sp.K2 else "K2",
-            f"gain cap exceeded: max(K1,K2)={max(sp.K1, sp.K2)} >"
-            f" 1/(10*dt)={gain_cap(sp.base.dt)}",
-            hard=True,
-        ))
+    _check_gains(out, {"K1": sp.K1, "K2": sp.K2}, sp.base.dt)
     return out
 
 

@@ -5,9 +5,11 @@ uniform grid; homogeneous Neumann (zero normal flux) boundaries are realised
 by ghost-cell reflection, which is second-order accurate and conserves the
 cell sum of the diffusion operator exactly (up to rounding).
 
-Fields are plain numpy arrays of shape ``grid.shape``; reaction terms act
-pointwise with spatial coefficient profiles, diffusion acts on the inhibition
-rate (true and estimated) only.
+Fields are plain numpy arrays of shape ``grid.shape``, carried in the
+within-host state tuples of :mod:`anthobs.ode`.  The reaction terms are the
+within-host forcings of :mod:`anthobs.forcing` evaluated per cell and scaled
+by the spatial coefficient profiles; diffusion acts on the inhibition rate
+(true and estimated) only.
 """
 
 from __future__ import annotations
@@ -16,23 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forcing
-from .params import SpatialParameterSet
+from . import forcing, ode
+from .params import ParameterSet, SpatialParameterSet
 
 __all__ = [
     "Grid",
-    "SpatialSystemState",
     "SpatialCoefficients",
     "laplacian_neumann",
     "spatial_coefficients",
+    "inhibition_forcing_field",
+    "rot_rate",
     "spatial_model_rhs",
     "spatial_observer_rhs",
     "aggregate",
     "check_conditions_spatial",
-    "SpatialConditionReport",
 ]
-
-SINGULAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,6 @@ class Grid:
             return axis[:, None]
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         return np.stack([gx, gy], axis=-1)
-
-
-@dataclass
-class SpatialSystemState:
-    """True fields (theta, v, rho) and observer fields (theta_hat, v_hat)."""
-
-    theta: np.ndarray
-    v: np.ndarray
-    rho: np.ndarray
-    theta_hat: np.ndarray
-    v_hat: np.ndarray
-
-    @property
-    def rot_volume(self) -> np.ndarray:
-        """Derived rot-volume field ``rho * v``."""
-        return self.rho * self.v
 
 
 def laplacian_neumann(f: np.ndarray, grid: Grid, diffusivity: float) -> np.ndarray:
@@ -131,13 +115,13 @@ def spatial_coefficients(grid: Grid, sp: SpatialParameterSet) -> SpatialCoeffici
     return SpatialCoefficients(qs[0], qs[1], qs[2], u_space)
 
 
-def _growth_profile_field(theta: np.ndarray, p) -> np.ndarray:
-    if p.p2_mode == "quadratic":
-        return (2.0 - theta) ** 2
-    return 2.0 - theta
+def inhibition_forcing_field(t: float, coef: SpatialCoefficients,
+                             p: ParameterSet) -> np.ndarray:
+    """Inhibition forcing ``alpha(t, x) = p1(t) + q1(x)*b1*(1 - cos(c1*t))*(t - d1)^2``."""
+    return forcing.baseline_forcing(t, p) + coef.q1 * forcing.seasonal(t, p.b1, p.c1, p.d1)
 
 
-def _weight_field(t: float, coef: SpatialCoefficients, p) -> np.ndarray:
+def _weight_field(t: float, coef: SpatialCoefficients, p: ParameterSet) -> np.ndarray:
     u = coef.u_space * forcing.control(t, p)
     den = 1.0 - p.sigma * u
     if np.any(den <= 0.0):
@@ -145,87 +129,48 @@ def _weight_field(t: float, coef: SpatialCoefficients, p) -> np.ndarray:
     return 1.0 / den
 
 
-def spatial_model_rhs(t: float, s: SpatialSystemState, grid: Grid,
-                      sp: SpatialParameterSet,
-                      coef: SpatialCoefficients | None = None):
+def rot_rate(t: float, s: ode.ModelState, coef: SpatialCoefficients,
+             p: ParameterSet) -> np.ndarray:
+    """Rot-proportion rate field ``q3 * rot_forcing * (1 - rho)``."""
+    return coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
+
+
+def spatial_model_rhs(t: float, s: ode.ModelState, grid: Grid, sp: SpatialParameterSet,
+                      coef: SpatialCoefficients):
     """Field derivatives ``(dtheta, dv, drho)`` of the spatial model.
 
     The inhibition rate diffuses; volume and rot proportion are pointwise.
     """
     p = sp.base
-    if coef is None:
-        coef = spatial_coefficients(grid, sp)
     cap = 1.0 + p.epsilon - s.theta
     if np.any(cap <= 0.0):
         raise ValueError(f"volume capacity 1+epsilon-theta <= 0 somewhere at t={t}")
-    alpha = _p1_field(t, p) + coef.q1 * forcing.seasonal(t, p.b1, p.c1, p.d1)
+    alpha = inhibition_forcing_field(t, coef, p)
     w = _weight_field(t, coef, p)
     dtheta = alpha * (1.0 - w * s.theta) + laplacian_neumann(s.theta, grid, sp.diffusivity)
-    beta = coef.q2 * forcing.seasonal(t, p.b2, p.c2, p.d2) * _growth_profile_field(s.theta, p)
-    dv = beta * (1.0 - s.v / (forcing.volume_capacity(t, p) * p.v_max * cap))
-    gbar = coef.q3 * forcing.seasonal(t, p.b3, p.c3, p.d3) * (s.theta - p.kappa * s.rho) * s.v
-    drho = gbar * (1.0 - s.rho)
-    return dtheta, dv, drho
+    dv = coef.q2 * forcing.growth_forcing(t, s.theta, p) * (
+        1.0 - s.v / (forcing.volume_capacity(t, p) * p.v_max * cap))
+    return dtheta, dv, rot_rate(t, s, coef, p)
 
 
-def _p1_field(t: float, p) -> float:
-    return p.p1_const if p.p1_mode == "constant" else 0.0
-
-
-def phi1_field(theta_hat: np.ndarray, v_hat: np.ndarray, v_meas: np.ndarray,
-               epsilon: float) -> np.ndarray:
-    """Vectorised volume-deficit correction (same branches as the scalar form)."""
-    safe = np.where(v_hat > 0.0, v_hat, 1.0)
-    base = (1.0 - v_meas / safe) * (1.0 + epsilon - theta_hat)
-    cond = (v_meas <= v_hat) & (theta_hat > 0.0) & (theta_hat < 1.0) & (v_hat > 0.0)
-    return np.where(cond, base, 0.0)
-
-
-def phi2_field(t: float, theta_hat: np.ndarray, v_meas: np.ndarray,
-               rho_meas: np.ndarray, drho_meas: np.ndarray,
-               q3: np.ndarray, p) -> np.ndarray:
-    """Vectorised rot-rate innovation (same branches as the scalar form)."""
-    gbar = q3 * forcing.seasonal(t, p.b3, p.c3, p.d3) * (theta_hat - p.kappa * rho_meas) * v_meas
-    inner = drho_meas - gbar * (1.0 - rho_meas)
-    cond = (theta_hat > 0.0) & (theta_hat < 1.0)
-    return np.where(cond, inner, 0.0)
-
-
-def phi3_field(t: float, theta_hat: np.ndarray, v_hat: np.ndarray, p) -> np.ndarray:
-    """Vectorised growth-saturation term."""
-    cap = 1.0 + p.epsilon - theta_hat
-    if np.any(cap <= 0.0):
-        raise ValueError(f"1+epsilon-theta_hat <= 0 somewhere at t={t}")
-    return 1.0 - v_hat / (cap * forcing.volume_capacity(t, p) * p.v_max)
-
-
-def spatial_observer_rhs(t: float, s: SpatialSystemState, grid: Grid,
-                         sp: SpatialParameterSet,
-                         drho_meas: np.ndarray | None = None,
-                         coef: SpatialCoefficients | None = None):
+def spatial_observer_rhs(t: float, o: ode.ObserverState, m: ode.Measurement, grid: Grid,
+                         sp: SpatialParameterSet, coef: SpatialCoefficients):
     """Field derivatives ``(dtheta_hat, dv_hat)`` of the spatial observer.
 
-    The estimate diffuses like the true inhibition rate; corrections act
-    pointwise with the (spatially constant) gain fields ``K1, K2``.  The
-    measured volume and rot fields are read from the true state in ``s``;
-    ``drho_meas`` defaults to the exact rot rate synthesised from ``s``.
+    Reads only its own state ``o`` and the measured fields ``m``.  The
+    estimate diffuses like the true inhibition rate; corrections act
+    pointwise with the (spatially constant) gain fields ``K1, K2``.
     """
     p = sp.base
-    if coef is None:
-        coef = spatial_coefficients(grid, sp)
-    if drho_meas is None:
-        gbar = coef.q3 * forcing.seasonal(t, p.b3, p.c3, p.d3) * (s.theta - p.kappa * s.rho) * s.v
-        drho_meas = gbar * (1.0 - s.rho)
-    alpha = _p1_field(t, p) + coef.q1 * forcing.seasonal(t, p.b1, p.c1, p.d1)
-    w = _weight_field(t, coef, p)
+    predicted = rot_rate(t, ode.ModelState(o.theta_hat, m.v, m.rho), coef, p)
     dtheta = (
-        alpha * (1.0 - w * s.theta_hat)
-        + sp.K1 * phi1_field(s.theta_hat, s.v_hat, s.v, p.epsilon)
-        + sp.K2 * phi2_field(t, s.theta_hat, s.v, s.rho, drho_meas, coef.q3, p)
-        + laplacian_neumann(s.theta_hat, grid, sp.diffusivity)
+        inhibition_forcing_field(t, coef, p) * (1.0 - _weight_field(t, coef, p) * o.theta_hat)
+        + sp.K1 * ode.phi1_field(o.theta_hat, o.v_hat, m.v, p.epsilon)
+        + sp.K2 * ode.phi2_field(o.theta_hat, m.drho_dt, predicted)
+        + laplacian_neumann(o.theta_hat, grid, sp.diffusivity)
     )
-    beta = coef.q2 * forcing.seasonal(t, p.b2, p.c2, p.d2) * _growth_profile_field(s.theta_hat, p)
-    dv = beta * phi3_field(t, s.theta_hat, s.v_hat, p)
+    dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * ode.phi3_field(
+        t, o.theta_hat, o.v_hat, p)
     return dtheta, dv
 
 
@@ -240,104 +185,36 @@ def aggregate(f: np.ndarray) -> tuple[float, float, float]:
 # convergence-condition diagnostics (spatial)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpatialConditionReport:
-    """Space-time infima of the spatial observer convergence conditions.
+def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoefficients,
+                             sensitivity: np.ndarray | None = None) -> ode.ConditionReport:
+    """Evaluate the convergence diagnostics over every (time, cell) sample.
 
-    Analogue of the within-host report, with infima taken over every (time,
-    cell) sample.  The first stability expression needs the sensitivity of
-    the true volume to the initial inhibition rate; it is estimated from a
-    pair of auxiliary truth runs and is ``None`` (with a note) when those are
-    not supplied while ``K1 > 0``.
-    """
-
-    alpha_inf: float
-    coercivity_inf: float | None
-    coercivity_samples: int
-    stability1_inf: float | None
-    stability1_excluded: int
-    stability2_inf: float | None
-    stability2_excluded: int
-    dominance_inf: float | None
-    notes: list[str]
-
-
-def check_conditions_spatial(traj, grid: Grid, sp: SpatialParameterSet,
-                             sensitivity: np.ndarray | None = None) -> SpatialConditionReport:
-    """Evaluate the spatial convergence diagnostics along a recorded run.
-
-    ``sensitivity``, when given, is the per-record field ``d v / d theta(0)``
-    estimated by central difference of two auxiliary truth runs whose initial
-    inhibition rate was perturbed by ``+-1e-4``; shape ``(n_records, *grid)``.
+    With ``K1 > 0`` the stability factor is ``R = (v + (1+epsilon-theta)*S)/v``
+    where ``S = sensitivity[i]`` is ``d v / d theta(0)`` at record ``i``, from
+    paired truth runs; cells with ``v`` below tolerance are excluded and
+    counted.  Without ``sensitivity`` the stability infima are ``None``.
     """
     p = sp.base
-    coef = spatial_coefficients(grid, sp)
-    times = traj.times
-    if len(times) == 0:
+    if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     notes: list[str] = []
-
-    alpha_inf = np.inf
-    coer_inf = np.inf
-    coer_n = 0
-    s1_vals: list[float] = []
-    s2_vals: list[float] = []
-    dom_inf = np.inf
-    s1_excl = 0
-    s2_excl = 0
-    need_sens = sp.K1 > 0.0
-    if need_sens and sensitivity is None:
+    if sp.K1 > 0.0 and sensitivity is None:
         notes.append(
             "stability expressions skipped: K1 > 0 needs the paired-run"
             " volume sensitivity estimate")
 
-    for i, t in enumerate(times):
-        t = float(t)
-        theta, v, rho = traj.truth[i]
-        theta_hat, v_hat = traj.observer[i]
-        drho = traj.measurements[i][2]
-        alpha = _p1_field(t, p) + coef.q1 * forcing.seasonal(t, p.b1, p.c1, p.d1)
-        w = _weight_field(t, coef, p)
-        alpha_inf = min(alpha_inf, float(alpha.min()))
+    def batches():
+        for i, t in enumerate(traj.times.tolist()):
+            theta, v, _ = traj.truth[i]
+            o = ode.ObserverState(*traj.observer[i])
+            m = ode.Measurement(*traj.measurements[i])
+            ratio, excluded = None, False
+            if sp.K1 > 0.0 and sensitivity is not None:
+                excluded = v < ode.SINGULAR_TOL
+                ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[i]) / np.where(excluded, 1.0, v)
+            yield (t, inhibition_forcing_field(t, coef, p), _weight_field(t, coef, p), theta,
+                   coef.q3 * forcing.rot_forcing(t, theta, m.v, m.rho, p),
+                   coef.q3 * forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p),
+                   o, m, ratio, excluded)
 
-        err = theta - theta_hat
-        informative = np.abs(err) > 1e-12
-        if np.any(informative):
-            g_true = coef.q3 * forcing.seasonal(t, p.b3, p.c3, p.d3) * (theta - p.kappa * rho) * v
-            g_hat = coef.q3 * forcing.seasonal(t, p.b3, p.c3, p.d3) * (theta_hat - p.kappa * rho) * v
-            ratios = np.abs(g_true - g_hat)[informative] / np.abs(err)[informative]
-            coer_inf = min(coer_inf, float(ratios.min()))
-            coer_n += int(np.count_nonzero(informative))
-
-        phi1 = phi1_field(theta_hat, v_hat, v, p.epsilon)
-        phi2 = phi2_field(t, theta_hat, v, rho, drho, coef.q3, p)
-        dom_inf = min(dom_inf, float((sp.K2 * np.abs(phi2) - sp.K1 * phi1).min()))
-
-        delta = ((theta_hat > 0.0) & (theta_hat < 1.0)).astype(float)
-        aw = alpha * w
-        if sp.K1 == 0.0:
-            s1_vals.append(float(aw.min()))
-            s2_vals.append(float((aw + sp.K2 * phi2).min()))
-        elif sensitivity is not None:
-            ok = v >= SINGULAR_TOL
-            s1_excl += int(np.count_nonzero(~ok))
-            s2_excl += int(np.count_nonzero(~ok))
-            if np.any(ok):
-                dv_dtheta = sensitivity[i]
-                ratio = (v + (1.0 + p.epsilon - theta) * dv_dtheta) / np.where(ok, v, 1.0)
-                expr1 = ratio * sp.K1 * delta + aw
-                expr2 = expr1 + sp.K2 * phi2
-                s1_vals.append(float(expr1[ok].min()))
-                s2_vals.append(float(expr2[ok].min()))
-
-    return SpatialConditionReport(
-        alpha_inf=float(alpha_inf),
-        coercivity_inf=None if coer_n == 0 else float(coer_inf),
-        coercivity_samples=coer_n,
-        stability1_inf=min(s1_vals) if s1_vals else None,
-        stability1_excluded=s1_excl,
-        stability2_inf=min(s2_vals) if s2_vals else None,
-        stability2_excluded=s2_excl,
-        dominance_inf=float(dom_inf) if len(times) else None,
-        notes=notes,
-    )
+    return ode.condition_report(batches(), p, sp.K1, sp.K2, notes)

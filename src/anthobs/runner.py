@@ -16,6 +16,7 @@ PDE: ``t`` plus ``{min,mean,max}`` triples for ``theta``, ``theta_hat``,
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 import time
@@ -28,8 +29,8 @@ import numpy as np
 from . import config as configmod
 from . import metrics, ode, pde, svgplot
 from .params import ParameterSet, SpatialParameterSet, gain_cap
-from .stepping import simulate
-from .systems import MEASUREMENT_MODES, SpatialSystem, WithinHostSystem
+from .stepping import SCHEMES, simulate
+from .systems import SpatialSystem, WithinHostSystem, check_inputs
 
 __all__ = [
     "Scenario",
@@ -103,12 +104,7 @@ def make_scenario(p: ParameterSet, model: str, theta0: float, v0: float,
                  k1=k1, k2=k2, **kwargs)
     if s.model not in ("ode", "pde"):
         raise ValueError(f"model must be 'ode' or 'pde', got {s.model!r}")
-    if not 0.0 <= s.theta0 <= 1.0:
-        raise ValueError(f"theta0={s.theta0} outside [0,1]")
-    if not 0.0 <= s.v0 <= p.v_max:
-        raise ValueError(f"v0={s.v0} outside [0, v_max={p.v_max}]")
-    if not 0.0 <= s.rho0 <= 1.0:
-        raise ValueError(f"rho0={s.rho0} outside [0,1]")
+    check_inputs(p, s.theta0, s.v0, s.rho0, s.measurement)
     if s.model == "ode" and s.rho0 > s.theta0:
         raise ValueError(f"rho0={s.rho0} must not exceed theta0={s.theta0}")
     if s.model == "pde" and s.rho0 != s.theta0:
@@ -118,9 +114,7 @@ def make_scenario(p: ParameterSet, model: str, theta0: float, v0: float,
     if max(s.k1, s.k2) > gain_cap(p.dt):
         raise ValueError(
             f"gain {max(s.k1, s.k2)} exceeds the cap 1/(10*dt)={gain_cap(p.dt)}")
-    if s.measurement not in MEASUREMENT_MODES:
-        raise ValueError(f"unknown measurement mode {s.measurement!r}")
-    if s.scheme not in ("euler", "rk4"):
+    if s.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {s.scheme!r}")
     if s.t1 < s.t0:
         raise ValueError(f"t1={s.t1} earlier than t0={s.t0}")
@@ -219,17 +213,18 @@ def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _envelope_checks_ode(s: Scenario, p: ParameterSet, traj) -> dict[str, str]:
-    """Exact-law and squared-error envelope verdicts, where applicable."""
+def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndarray,
+                         slack: float = 0.0) -> dict[str, str]:
+    """Exact-law and squared-error envelope verdicts of the error ``e`` at times
+    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts."""
     checks: dict[str, str] = {"exact_law": "n/a", "decay_envelope": "n/a"}
     if s.k1 != 0.0 or s.measurement != "exact":
         return checks
-    e = traj.truth[:, 0] - traj.observer[:, 0]
-    env = metrics.envelope_series(traj.times, p, float(e[0]))
+    env = metrics.envelope_series(t, p, float(e[0]))
     if s.k2 == 0.0:
         worst = float(np.max(np.abs(e - env)))
-        checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) else "fail"
-    res = metrics.envelope_check(e ** 2, env * e[0], tol=metrics.ENVELOPE_TOL)
+        checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
+    res = metrics.envelope_check(e ** 2, env * e[0] + slack, tol=metrics.ENVELOPE_TOL)
     checks["decay_envelope"] = "pass" if res.passed else "fail"
     return checks
 
@@ -251,15 +246,19 @@ def _envelope_checks_pde(s: Scenario, sp: SpatialParameterSet, traj,
 
 
 def _volume_sensitivity(s: Scenario, sp: SpatialParameterSet, grid) -> np.ndarray:
-    """d v / d theta(0) per recorded time, from two perturbed truth runs."""
+    """d v / d theta(0) per recorded time, from two perturbed truth runs.
+
+    The perturbed initial rates are clamped into ``[0, 1]``, so at the box
+    edge the quotient is one-sided; it always divides by the actual spread.
+    """
+    thetas = [min(1.0, max(0.0, s.theta0 + sign * SENSITIVITY_DELTA)) for sign in (+1.0, -1.0)]
     fields = []
-    for sign in (+1.0, -1.0):
-        theta0 = min(1.0, max(0.0, s.theta0 + sign * SENSITIVITY_DELTA))
+    for theta0 in thetas:
         system = SpatialSystem(sp, grid, theta0, s.v0, s.rho0, s.measurement)
         traj = simulate(system, s.t0, s.t1, sp.base.dt, s.scheme,
                         RECORD_STRIDE, truth_only=True)
         fields.append(traj.truth[:, 1])
-    return (fields[0] - fields[1]) / (2.0 * SENSITIVITY_DELTA)
+    return (fields[0] - fields[1]) / (thetas[0] - thetas[1])
 
 
 def _condition_summary(report) -> dict[str, object]:
@@ -300,7 +299,8 @@ def run_scenario(s: Scenario, p: ParameterSet,
             traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
             err = metrics.error_series_ode(traj)
             report = ode.check_conditions(traj, p_run)
-            checks = _envelope_checks_ode(s, p_run, traj)
+            checks = _envelope_checks_ode(s, p_run, traj.times,
+                                          traj.truth[:, 0] - traj.observer[:, 0])
             rows = _ode_rows(traj, err)
             columns = ODE_COLUMNS
         else:
@@ -309,7 +309,7 @@ def run_scenario(s: Scenario, p: ParameterSet,
             traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
             err = metrics.error_series_pde(traj)
             sens = _volume_sensitivity(s, sp_run, grid) if s.k1 > 0.0 else None
-            report = pde.check_conditions_spatial(traj, grid, sp_run, sens)
+            report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
             checks = _envelope_checks_pde(s, sp_run, traj, report.alpha_inf)
             rows = _pde_rows(traj, err)
             columns = PDE_COLUMNS
@@ -387,10 +387,15 @@ def sweep(kind: str, p: ParameterSet | None = None,
 
     With ``workers > 1`` scenarios execute in a process pool; every scenario
     owns its output directory, so results are identical to a serial run.
+    Raises ``ValueError`` before any run when two scenarios share a label,
+    since they would write into the same directory.
     """
     p = p or ParameterSet()
     if scenarios is None:
         scenarios = scenario_matrix(kind, p)
+    repeated = [lab for lab, n in collections.Counter(s.label for s in scenarios).items() if n > 1]
+    if repeated:
+        raise ValueError(f"scenario label {repeated[0]!r} names more than one scenario")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [(s, p, sp, out_dir) for s in scenarios]
@@ -451,7 +456,8 @@ def _check_one_dir(directory: Path) -> list[str]:
         rel_err = metrics.relative_abs_error(col["theta"], col["theta_hat"])
         if np.max(np.abs(rel_err - col["rel_err"])) > 2e-7 * (1 + np.max(rel_err)):
             problems.append(f"{directory}: rel_err column does not match theta, theta_hat")
-        checks = _recheck_envelopes_ode(s, p, col, nine_digit_slack)
+        checks = _envelope_checks_ode(s, p, t, col["theta"] - col["theta_hat"],
+                                      nine_digit_slack)
     else:
         for base_name in ("theta", "theta_hat", "abs_err", "rel_err"):
             mn = col[f"{base_name}_min"]
@@ -479,20 +485,6 @@ def _check_one_dir(directory: Path) -> list[str]:
     return problems
 
 
-def _recheck_envelopes_ode(s, p, col, slack) -> dict[str, str]:
-    checks = {"exact_law": "n/a", "decay_envelope": "n/a"}
-    if s.k1 != 0.0 or s.measurement != "exact":
-        return checks
-    e = col["theta"] - col["theta_hat"]
-    env = metrics.envelope_series(col["t"], p, float(e[0]))
-    if s.k2 == 0.0:
-        worst = float(np.max(np.abs(e - env)))
-        checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
-    res = metrics.envelope_check(e ** 2, env * e[0] + slack, tol=metrics.ENVELOPE_TOL)
-    checks["decay_envelope"] = "pass" if res.passed else "fail"
-    return checks
-
-
 def _recheck_envelopes_pde(s, rec, col, slack) -> dict[str, str]:
     # the CSV stores aggregates, not fields: replay the mean-square bound
     # ||e||^2 <= exp(-2 t inf(alpha)) ||e(0)||^2 via the recorded inf(alpha)
@@ -511,8 +503,10 @@ def _recheck_envelopes_pde(s, rec, col, slack) -> dict[str, str]:
 def check_artifacts(run_dir: str | Path) -> list[str]:
     """Re-verify every scenario artifact below ``run_dir``; return problems.
 
-    Accepts either one scenario directory or a sweep root.  A clean result is
-    an empty list.  Pure function of the on-disk artifacts.
+    Accepts either one scenario directory or a sweep root.  A sweep root's
+    ``manifest.txt``, when present, must list every scenario as ``ok`` with a
+    checked directory; any other entry is a problem of ``<root>/<label>``.
+    A clean result is an empty list.  Pure function of the on-disk artifacts.
     """
     run_dir = Path(run_dir)
     if not run_dir.exists():
@@ -520,11 +514,18 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     if (run_dir / "series.csv").exists():
         return _check_one_dir(run_dir)
     sub = sorted(d for d in run_dir.iterdir() if (d / "series.csv").exists())
-    if not sub:
-        return [f"{run_dir}: no scenario artifacts found"]
-    problems: list[str] = []
+    problems: list[str] = [] if sub else [f"{run_dir}: no scenario artifacts found"]
     for d in sub:
         problems.extend(_check_one_dir(d))
+    manifest = run_dir / "manifest.txt"
+    if manifest.exists():
+        checked = {d.name for d in sub}
+        for label, status in (line.split() for line in manifest.read_text().splitlines()
+                              if line.strip()):
+            if status != "ok":
+                problems.append(f"{run_dir / label}: manifest status {status!r}")
+            elif label not in checked:
+                problems.append(f"{run_dir / label}: listed ok but has no artifacts")
     return problems
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import gain_cap
+
 __all__ = [
     "step_euler",
     "step_rk4",
@@ -128,7 +130,7 @@ def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
     if cfl is not None and dt > cfl:
         raise ValueError(
             f"dt={dt} violates the diffusion stability bound {cfl:.3e}; refuse to run")
-    cap = 1.0 / (10.0 * dt)
+    cap = gain_cap(dt)
     if system.max_gain() > cap:
         raise ValueError(
             f"gain {system.max_gain()} exceeds the stability cap 1/(10*dt)={cap}")

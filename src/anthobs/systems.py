@@ -10,16 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import forcing, ode, pde
+from . import ode, pde
 from .params import ParameterSet, SpatialParameterSet
 from .stepping import cfl_step_limit
 
-__all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES"]
+__all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES", "check_inputs"]
 
 MEASUREMENT_MODES = ("exact", "finite_difference")
 
 #: Order of stacked components across truth then observer state.
 COMPONENTS = ("theta", "v", "rho", "theta_hat", "v_hat")
+
+
+def check_inputs(p: ParameterSet, theta0: float, v0: float, rho0: float,
+                 measurement_mode: str) -> None:
+    """Reject an unknown measurement mode or an initial state outside the box."""
+    if measurement_mode not in MEASUREMENT_MODES:
+        raise ValueError(f"unknown measurement mode {measurement_mode!r}")
+    for name, x, hi in (("theta0", theta0, 1.0), ("v0", v0, p.v_max), ("rho0", rho0, 1.0)):
+        if not 0.0 <= x <= hi:
+            raise ValueError(f"initial state {name}={x} outside [0, {hi}]")
 
 
 class WithinHostSystem:
@@ -36,11 +46,7 @@ class WithinHostSystem:
 
     def __init__(self, p: ParameterSet, theta0: float, v0: float, rho0: float,
                  measurement_mode: str = "exact"):
-        if measurement_mode not in MEASUREMENT_MODES:
-            raise ValueError(f"unknown measurement mode {measurement_mode!r}")
-        if not (0.0 <= theta0 <= 1.0 and 0.0 <= v0 <= p.v_max and 0.0 <= rho0 <= 1.0):
-            raise ValueError(
-                f"initial state ({theta0}, {v0}, {rho0}) outside the state box")
+        check_inputs(p, theta0, v0, rho0, measurement_mode)
         self.p = p
         self.measurement_mode = measurement_mode
         self.truth0 = np.array([theta0, v0, rho0])
@@ -100,12 +106,8 @@ class SpatialSystem:
     def __init__(self, sp: SpatialParameterSet, grid: pde.Grid,
                  theta0: float, v0: float, rho0: float,
                  measurement_mode: str = "exact"):
-        if measurement_mode not in MEASUREMENT_MODES:
-            raise ValueError(f"unknown measurement mode {measurement_mode!r}")
         p = sp.base
-        if not (0.0 <= theta0 <= 1.0 and 0.0 <= v0 <= p.v_max and 0.0 <= rho0 <= 1.0):
-            raise ValueError(
-                f"initial state ({theta0}, {v0}, {rho0}) outside the state box")
+        check_inputs(p, theta0, v0, rho0, measurement_mode)
         self.sp = sp
         self.p = p
         self.grid = grid
@@ -124,33 +126,19 @@ class SpatialSystem:
     def max_gain(self) -> float:
         return max(self.sp.K1, self.sp.K2)
 
-    def _state(self, y: np.ndarray, z: np.ndarray | None = None) -> pde.SpatialSystemState:
-        if z is None:
-            z = self.observer0
-        return pde.SpatialSystemState(y[0], y[1], y[2], z[0], z[1])
-
     def truth_rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        d = pde.spatial_model_rhs(t, self._state(y), self.grid, self.sp, self.coef)
-        return np.stack(d)
+        return np.stack(pde.spatial_model_rhs(
+            t, ode.ModelState(*y), self.grid, self.sp, self.coef))
 
     def measure(self, t: float, y: np.ndarray, prev) -> np.ndarray:
-        theta, v, rho = y[0], y[1], y[2]
+        s = ode.ModelState(*y)
         if self.measurement_mode == "finite_difference" and prev is not None:
             t_prev, y_prev = prev
-            drho = (rho - y_prev[2]) / (t - t_prev)
+            drho = (s.rho - y_prev[2]) / (t - t_prev)
         else:
-            gbar = (
-                self.coef.q3
-                * forcing.seasonal(t, self.p.b3, self.p.c3, self.p.d3)
-                * (theta - self.p.kappa * rho) * v
-            )
-            drho = gbar * (1.0 - rho)
-        return np.stack([v, rho, drho])
+            drho = pde.rot_rate(t, s, self.coef, self.p)
+        return np.stack([s.v, s.rho, drho])
 
     def observer_rhs(self, t: float, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # true theta is unobservable; the observer only reads the measured
-        # fields (v, rho, drho_dt) and its own state, so slot rho in as a
-        # placeholder for theta
-        s = pde.SpatialSystemState(m[1], m[0], m[1], z[0], z[1])
-        d = pde.spatial_observer_rhs(t, s, self.grid, self.sp, m[2], self.coef)
-        return np.stack(d)
+        return np.stack(pde.spatial_observer_rhs(
+            t, ode.ObserverState(*z), ode.Measurement(*m), self.grid, self.sp, self.coef))

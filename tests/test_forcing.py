@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anthobs import ParameterSet, SpatialParameterSet, validate, validate_spatial
+from anthobs import Grid, ParameterSet, SpatialParameterSet, validate, validate_spatial
 from anthobs import forcing as F
+from anthobs.pde import spatial_coefficients
 
 times = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -210,19 +211,26 @@ class TestSpatialWeight:
 
 
 class TestSpatialControl:
+    """Spatial control ``u(t, x) = u_space(x) * u(t)`` with the profile of
+    :func:`anthobs.pde.spatial_coefficients`."""
+
     def test_zero_at_center(self, sp):
-        assert F.control_spatial(0.5, np.zeros((1, 2)), sp, 2)[0] == 0.0
+        # put the control centre x0 on a cell centre of a 4x4 grid
+        grid = Grid(2, 4)
+        sp0 = replace(sp, x0=(0.125, 0.375))
+        u = spatial_coefficients(grid, sp0).u_space * F.control(0.5, sp0.base)
+        assert u[0, 1] == 0.0
 
     def test_zero_at_phase(self, sp):
-        x = np.array([[0.3, 0.7]])
-        assert F.control_spatial(0.6, x, sp, 2)[0] == 0.0
+        u = spatial_coefficients(Grid(2, 4), sp).u_space * F.control(0.6, sp.base)
+        assert np.array_equal(u, np.zeros((4, 4)))
 
     def test_unit_spatial_factor_reduces_to_control(self, p, sp):
-        # choose x with |M(x-x0)|^2 = pi/2 so the spatial factor is 1
+        # place x0 so the cell centre x = 1/8 has |M(x-x0)|^2 = pi/2: factor 1
         m = F.anisotropy_matrix(p.seed, 1, sp.anisotropy_scale)
-        x = math.sqrt(math.pi / 2.0) / m[0, 0]
-        val = F.control_spatial(0.5, np.array([[x]]), sp, 1)[0]
-        assert val == pytest.approx(F.control(0.5, p), rel=1e-12)
+        sp1 = replace(sp, x0=(0.125 - math.sqrt(math.pi / 2.0) / m[0, 0],))
+        u = spatial_coefficients(Grid(1, 4), sp1).u_space * F.control(0.5, p)
+        assert u[0] == pytest.approx(F.control(0.5, p), rel=1e-12)
 
 
 class TestValidate:

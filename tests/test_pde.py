@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anthobs import (
     Grid,
     Measurement,
+    ModelState,
+    ObserverState,
     ParameterSet,
     SpatialParameterSet,
     SpatialSystem,
-    SpatialSystemState,
     WithinHostSystem,
     aggregate,
     check_conditions_spatial,
@@ -21,7 +24,8 @@ from anthobs import (
 )
 from anthobs import forcing as F
 from anthobs import ode
-from anthobs.pde import phi1_field, phi2_field, phi3_field, spatial_coefficients
+from anthobs.ode import phi1_field, phi2_field, phi3_field
+from anthobs.pde import SpatialCoefficients, spatial_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +134,7 @@ class TestPointwiseKernels:
         drho = rng.standard_normal(64)
         q3 = np.ones(64)
         t = 0.11
-        field = phi2_field(t, th, v, rho, drho, q3, p)
+        field = phi2_field(th, drho, q3 * F.rot_forcing(t, th, v, rho, p) * (1.0 - rho))
         scalar = np.array([
             ode.rot_innovation(t, x, Measurement(vm, rm, dm), p)
             for x, vm, rm, dm in zip(th, v, rho, drho)])
@@ -154,26 +158,25 @@ class TestSpatialRhs:
     def test_constant_state_matches_ode_rhs(self, p, uniform_sp):
         g = Grid(2, 8)
         th, v, rho = 0.4, 0.3, 0.2
-        s = SpatialSystemState(
-            np.full(g.shape, th), np.full(g.shape, v), np.full(g.shape, rho),
-            np.full(g.shape, 0.1), np.full(g.shape, v))
-        d = spatial_model_rhs(0.11, s, g, uniform_sp)
+        s = ModelState(np.full(g.shape, th), np.full(g.shape, v), np.full(g.shape, rho))
+        d = spatial_model_rhs(0.11, s, g, uniform_sp, spatial_coefficients(g, uniform_sp))
         d_ode = ode.model_rhs(0.11, ode.ModelState(th, v, rho), p)
         for field, scalar in zip(d, d_ode):
             assert np.array_equal(field, np.full(g.shape, scalar))
 
     def test_vanishes_at_peak_time(self, p, sp):
         g = Grid(1, 8)
-        s = SpatialSystemState(*(np.full(g.shape, x) for x in (0.4, 0.3, 0.2, 0.1, 0.3)))
-        d = spatial_model_rhs(0.75, s, g, sp)
+        s = ModelState(*(np.full(g.shape, x) for x in (0.4, 0.3, 0.2)))
+        d = spatial_model_rhs(0.75, s, g, sp, spatial_coefficients(g, sp))
         for field in d:
             assert np.array_equal(field, np.zeros(g.shape))
 
     def test_two_equal_cells_have_zero_diffusion(self, p, sp):
         g = Grid(1, 2)
-        s = SpatialSystemState(*(np.full(g.shape, x) for x in (0.4, 0.3, 0.2, 0.1, 0.3)))
-        d_with = spatial_model_rhs(0.11, s, g, sp)
-        d_without = spatial_model_rhs(0.11, s, g, replace(sp, diffusivity=0.0))
+        s = ModelState(*(np.full(g.shape, x) for x in (0.4, 0.3, 0.2)))
+        coef = spatial_coefficients(g, sp)
+        d_with = spatial_model_rhs(0.11, s, g, sp, coef)
+        d_without = spatial_model_rhs(0.11, s, g, replace(sp, diffusivity=0.0), coef)
         np.testing.assert_array_equal(d_with[0], d_without[0])
 
     def test_observer_matches_model_at_truth_without_gains(self, p, sp):
@@ -182,11 +185,74 @@ class TestSpatialRhs:
         th = 0.2 + 0.5 * rng.random(g.shape)
         v = 0.1 + 0.5 * rng.random(g.shape)
         rho = 0.1 * rng.random(g.shape)
-        s = SpatialSystemState(th, v, rho, th.copy(), v.copy())
-        d_model = spatial_model_rhs(0.11, s, g, sp)
-        d_obs = spatial_observer_rhs(0.11, s, g, sp)
+        coef = spatial_coefficients(g, sp)
+        d_model = spatial_model_rhs(0.11, ModelState(th, v, rho), g, sp, coef)
+        m = Measurement(v, rho, d_model[2])
+        d_obs = spatial_observer_rhs(0.11, ObserverState(th.copy(), v.copy()), m, g, sp, coef)
         np.testing.assert_allclose(d_obs[0], d_model[0], rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(d_obs[1], d_model[1], rtol=1e-13, atol=1e-16)
+
+
+def _cells(draw_unit, n):
+    return st.lists(draw_unit, min_size=n, max_size=n).map(np.array)
+
+
+_N = 3
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_profile = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
+_gain = st.sampled_from([0.0, 1.0, 1e3])
+#: baseline forcing p1 (not scaled by q1) and growth profile p2 variants
+_variant = st.tuples(st.sampled_from([0.0, 2.0]), st.sampled_from(["linear", "quadratic"]))
+
+
+class TestFoldedEquivalence:
+    """Each cell of the spatial model without diffusion is the within-host
+    model with that cell's profiles folded into its constants: ``q_i`` into
+    ``b_i`` and ``u_space`` into ``sigma``.  Folding reorders one product, so
+    cells agree within 1e-13 relative to the magnitude of the summed terms;
+    with the uniform profile nothing is folded and they agree exactly."""
+
+    @staticmethod
+    def _both(p, t, coef, truth, est, drho, k1, k2):
+        sp = SpatialParameterSet(base=p, diffusivity=0.0, K1=k1, K2=k2)
+        g = Grid(1, _N)
+        d_model = spatial_model_rhs(t, ModelState(*truth), g, sp, coef)
+        d_obs = spatial_observer_rhs(t, ObserverState(*est), Measurement(truth[1], truth[2], drho),
+                                     g, sp, coef)
+        for i in range(_N):
+            pc = replace(p, b1=coef.q1[i] * p.b1, b2=coef.q2[i] * p.b2, b3=coef.q3[i] * p.b3,
+                         sigma=coef.u_space[i] * p.sigma, k1=k1, k2=k2)
+            s = ModelState(*(float(f[i]) for f in truth))
+            o = ObserverState(*(float(f[i]) for f in est))
+            m = Measurement(s.v, s.rho, float(drho[i]))
+            scale = (abs(F.inhibition_forcing(t, pc)) * (1.0 + F.inhibition_weight(t, pc))
+                     + k1 * abs(ode.volume_gap(t, o.theta_hat, o.v_hat, m, pc))
+                     + k2 * (abs(m.drho_dt) + abs(F.rot_forcing(t, o.theta_hat, m.v, m.rho, pc))))
+            yield ([f[i] for f in d_model], ode.model_rhs(t, s, pc),
+                   [f[i] for f in d_obs], ode.observer_rhs(t, o, m, pc), scale)
+
+    @given(t=_unit, q=st.tuples(*[_cells(_profile, _N)] * 3), u=_cells(_unit, _N),
+           truth=st.tuples(*[_cells(_unit, _N)] * 3), est=st.tuples(*[_cells(_unit, _N)] * 2),
+           drho=_cells(st.floats(-50.0, 50.0), _N), k1=_gain, k2=_gain, variant=_variant)
+    @settings(max_examples=200, deadline=None)
+    def test_cells_match_folded_ode(self, p, t, q, u, truth, est, drho, k1, k2, variant):
+        p = replace(p, p1_mode="constant", p1_const=variant[0], p2_mode=variant[1])
+        coef = SpatialCoefficients(*q, u)
+        for model, model_ode, obs, obs_ode, scale in self._both(
+                p, t, coef, truth, est, drho, k1, k2):
+            for field, scalar in zip(model + obs, model_ode + obs_ode):
+                assert abs(field - scalar) <= 1e-13 * (abs(scalar) + scale)
+
+    @given(t=_unit, truth=st.tuples(*[_cells(_unit, _N)] * 3),
+           est=st.tuples(*[_cells(_unit, _N)] * 2), drho=_cells(st.floats(-50.0, 50.0), _N),
+           k1=_gain, k2=_gain)
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_profile_is_exact(self, p, t, truth, est, drho, k1, k2):
+        one = np.ones(_N)
+        coef = SpatialCoefficients(one, one, one, one)
+        for model, model_ode, obs, obs_ode, _ in self._both(p, t, coef, truth, est, drho, k1, k2):
+            assert [float(x) for x in model] == list(model_ode)
+            assert [float(x) for x in obs] == list(obs_ode)
 
 
 class TestReductionOracle:
@@ -220,7 +286,7 @@ class TestSpatialConditions:
         tr_pde = simulate(pde_sys, 0.0, 0.3, 1e-4)
         ode_sys = WithinHostSystem(p, 0.75, 0.5, 0.75)
         tr_ode = simulate(ode_sys, 0.0, 0.3, 1e-4)
-        rep_pde = check_conditions_spatial(tr_pde, g, uniform_sp)
+        rep_pde = check_conditions_spatial(tr_pde, uniform_sp, pde_sys.coef)
         rep_ode = ode.check_conditions(tr_ode, p)
         assert rep_pde.alpha_inf == pytest.approx(rep_ode.alpha_inf, abs=1e-15)
         assert rep_pde.coercivity_inf == pytest.approx(rep_ode.coercivity_inf, rel=1e-9)
@@ -230,7 +296,7 @@ class TestSpatialConditions:
         g = Grid(1, 4)
         system = SpatialSystem(sp, g, 0.5, 0.5, 0.5)
         tr = simulate(system, 0.0, 0.05, 1e-4)
-        rep = check_conditions_spatial(tr, g, sp)
+        rep = check_conditions_spatial(tr, sp, system.coef)
         # K1 = K2 = 0: both stability infima equal inf over (t, x) of alpha*w
         assert rep.stability1_inf == rep.stability2_inf
         assert rep.stability1_inf >= rep.alpha_inf
@@ -241,7 +307,7 @@ class TestSpatialConditions:
         g = Grid(1, 4)
         system = SpatialSystem(sp1, g, 0.5, 0.5, 0.5)
         tr = simulate(system, 0.0, 0.02, 1e-4)
-        rep = check_conditions_spatial(tr, g, sp1)
+        rep = check_conditions_spatial(tr, sp1, system.coef)
         assert rep.stability1_inf is None
         assert any("sensitivity" in note for note in rep.notes)
 
@@ -251,7 +317,7 @@ class TestSpatialConditions:
         g = Grid(1, 4)
         system = SpatialSystem(sp2, g, 0.5, 0.5, 0.5)
         tr = simulate(system, 0.0, 0.05, 1e-4)
-        rep = check_conditions_spatial(tr, g, sp2)
+        rep = check_conditions_spatial(tr, sp2, system.coef)
         assert rep.dominance_inf >= 0.0
 
 

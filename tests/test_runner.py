@@ -1,5 +1,7 @@
 """Configuration files, scenario matrix, artifacts, re-checks and the CLI."""
 
+import re
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -7,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anthobs import ParameterSet, SpatialParameterSet
-from anthobs import runner
+from anthobs import Grid, ParameterSet, SpatialParameterSet, SpatialSystem, WithinHostSystem
+from anthobs import runner, simulate
 from anthobs.cli import main
 from anthobs.config import ConfigError, load_config_text, write_config
 
@@ -111,6 +113,47 @@ class TestScenarioMatrix:
     def test_ode_rho_filter_enforced(self, p):
         with pytest.raises(ValueError, match="rho0"):
             runner.make_scenario(p, "ode", 0.05, 0.5, 0.25, 0.0, 0.0)
+
+
+class TestInputValidation:
+    """Scenarios and both systems reject a bad input with the same message."""
+
+    @pytest.mark.parametrize("theta0,v0,rho0,mode,message", [
+        (1.5, 0.5, 1.5, "exact", "theta0=1.5"),
+        (0.5, 1.2, 0.5, "exact", "v0=1.2"),
+        (0.5, 0.5, -0.1, "exact", "rho0=-0.1"),
+        (0.5, 0.5, 0.5, "psychic", "measurement mode 'psychic'"),
+    ])
+    def test_same_rejection_everywhere(self, p, sp, theta0, v0, rho0, mode, message):
+        builders = [
+            lambda: runner.make_scenario(p, "ode", theta0, v0, rho0, 0.0, 0.0,
+                                         measurement=mode),
+            lambda: WithinHostSystem(p, theta0, v0, rho0, mode),
+            lambda: SpatialSystem(sp, Grid(1, 4), theta0, v0, rho0, mode),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
+    def test_unknown_scheme(self, p):
+        with pytest.raises(ValueError, match="scheme"):
+            runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0, scheme="leapfrog")
+
+
+class TestVolumeSensitivity:
+    def test_one_sided_quotient_at_box_edge(self, p):
+        # theta0 = 1 clamps the upper perturbed run to 1: the quotient must
+        # divide by the actual spread, not by twice the perturbation
+        s = runner.make_scenario(p, "pde", 1.0, 0.5, 1.0, 1e3, 0.0, t1=0.01, dim=1, n=4)
+        sp1 = SpatialParameterSet(base=replace(p, k1=1e3))
+        grid = Grid(1, 4)
+        sens = runner._volume_sensitivity(s, sp1, grid)
+        lower = 1.0 - runner.SENSITIVITY_DELTA
+        v = [simulate(SpatialSystem(sp1, grid, theta0, 0.5, 1.0), 0.0, 0.01, p.dt,
+                      record_stride=runner.RECORD_STRIDE, truth_only=True).truth[:, 1]
+             for theta0 in (1.0, lower)]
+        np.testing.assert_allclose(sens, (v[0] - v[1]) / (1.0 - lower), rtol=1e-12, atol=0)
+        assert np.abs(sens[-1]).min() > 0.0
 
 
 class TestRunScenario:
@@ -222,6 +265,32 @@ class TestSweepAndCheck:
     def test_missing_dir(self):
         assert runner.check_artifacts("/nonexistent/place") != []
 
+    def test_failed_scenario_fails_check(self, p, tmp_path, fast_scenarios, capsys):
+        # dt = 1e-4 breaks the diffusion bound of a 512^2 grid: the run fails
+        # at validation and leaves an empty directory behind
+        bad = runner.make_scenario(p, "pde", 0.05, 0.5, 0.05, 0.0, 0.0, dim=2, n=512)
+        records = runner.sweep("custom", p, out_dir=tmp_path,
+                               scenarios=[fast_scenarios[0], bad])
+        assert [r.status for r in records] == ["ok", "failed"]
+        problems = runner.check_artifacts(tmp_path)
+        assert problems == [f"{tmp_path / bad.label}: manifest status 'failed'"]
+        assert main(["check", str(tmp_path)]) == 1
+
+    def test_missing_ok_scenario_detected(self, p, tmp_path, fast_scenarios):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:2])
+        gone = fast_scenarios[1].label
+        shutil.rmtree(tmp_path / gone)
+        assert runner.check_artifacts(tmp_path) == [
+            f"{tmp_path / gone}: listed ok but has no artifacts"]
+
+    def test_colliding_labels_rejected_before_any_run(self, p, tmp_path, fast_scenarios):
+        first = fast_scenarios[0]
+        twin = replace(first, t1=2 * first.t1)
+        assert twin.label == first.label
+        with pytest.raises(ValueError, match=re.escape(first.label)):
+            runner.sweep("custom", p, out_dir=tmp_path / "out", scenarios=[first, twin])
+        assert not (tmp_path / "out").exists()
+
 
 class TestPlots:
     @pytest.fixture()
@@ -281,6 +350,14 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "-o", str(out)]) == 0
         assert main(["check", str(out)]) == 0
+
+    def test_run_rejects_colliding_labels(self, tmp_path, capsys):
+        cfg = tmp_path / "twins.cfg"
+        cfg.write_text(
+            "scenario = ode theta0=0.75 v0=0.5 rho0=0.25 t1=0.01\n"
+            "scenario = ode theta0=0.75 v0=0.5 rho0=0.25 t1=0.02\n")
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        assert "ode_th0.75_v0.5_rho0.25_k1_0_k2_0" in capsys.readouterr().err
 
     def test_run_empty_config(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
