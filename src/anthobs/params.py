@@ -12,7 +12,7 @@ between threads / worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 __all__ = [
     "ParameterSet",
@@ -241,8 +241,3 @@ def validate_spatial(sp: SpatialParameterSet) -> list[Violation]:
                              " ['radial', 'uniform']", hard=True))
     _check_gains(out, {"K1": sp.K1, "K2": sp.K2}, sp.base.dt)
     return out
-
-
-def param_field_names(cls=ParameterSet) -> tuple[str, ...]:
-    """Declared field names, in definition order (used by the config codec)."""
-    return tuple(f.name for f in fields(cls))

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import config as configmod
 from . import metrics, ode, pde, svgplot
+from .fileio import write_atomic
 from .params import ParameterSet, SpatialParameterSet, gain_cap
 from .stepping import SCHEMES, simulate
 from .systems import SpatialSystem, WithinHostSystem, check_inputs
@@ -183,7 +184,7 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: np.ndarray) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt9(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -280,7 +281,8 @@ def run_scenario(s: Scenario, p: ParameterSet,
     """Execute one scenario, write its artifact directory, return the record.
 
     Failures (overshoot, instability, non-finite states) are captured in the
-    record with ``status="failed"`` so a batch can continue.
+    record with ``status="failed"`` and the error line, so a batch can
+    continue; a failed run's directory holds only ``record.txt``.
     """
     t_start = time.perf_counter()
     p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
@@ -314,11 +316,14 @@ def run_scenario(s: Scenario, p: ParameterSet,
             rows = _pde_rows(traj, err)
             columns = PDE_COLUMNS
     except Exception as exc:  # recorded, batch continues
-        return RunRecord(
+        record = RunRecord(
             scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
             wall_clock_s=time.perf_counter() - t_start, overshoot={},
             final_abs_err=None, final_rel_err=None, checks={}, condition={},
             out_dir=str(directory) if directory else None)
+        if directory is not None:
+            _write_record(directory / "record.txt", record)
+        return record
 
     record = RunRecord(
         scenario=s,
@@ -333,9 +338,9 @@ def run_scenario(s: Scenario, p: ParameterSet,
         out_dir=str(directory) if directory else None,
     )
     if directory is not None:
-        (directory / "config.txt").write_text(
-            configmod.write_config(p_run, sp_run if s.model == "pde" else None,
-                                   scenarios=[s]))
+        write_atomic(directory / "config.txt",
+                     configmod.write_config(p_run, sp_run if s.model == "pde" else None,
+                                            scenarios=[s]))
         _write_csv(directory / "series.csv", columns, rows)
         _write_record(directory / "record.txt", record)
         emit_plot(directory, "estimate")
@@ -360,7 +365,7 @@ def _write_record(path: Path, r: RunRecord) -> None:
         lines.append(f"check_{name} = {val}")
     for name, val in r.condition.items():
         lines.append(f"cond_{name} = {val}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_record(path: Path) -> dict[str, str]:
@@ -406,7 +411,7 @@ def sweep(kind: str, p: ParameterSet | None = None,
         records = [_run_one(job) for job in jobs]
     if out_dir is not None:
         manifest = [f"{r.scenario.label} {r.status}" for r in records]
-        (Path(out_dir) / "manifest.txt").write_text("\n".join(manifest) + "\n")
+        write_atomic(Path(out_dir) / "manifest.txt", "\n".join(manifest) + "\n")
     return records
 
 
@@ -419,12 +424,15 @@ def _check_one_dir(directory: Path) -> list[str]:
     csv_path = directory / "series.csv"
     rec_path = directory / "record.txt"
     cfg_path = directory / "config.txt"
-    for f in (csv_path, rec_path, cfg_path):
-        if not f.exists():
-            return [f"{directory}: missing {f.name}"]
+    if not rec_path.exists():
+        return [f"{directory}: missing {rec_path.name}"]
     rec = _read_record(rec_path)
     if rec.get("status") != "ok":
-        return [f"{directory}: recorded status {rec.get('status')!r}"]
+        error = f" ({rec['error']})" if "error" in rec else ""
+        return [f"{directory}: recorded status {rec.get('status')!r}{error}"]
+    for f in (csv_path, cfg_path):
+        if not f.exists():
+            return [f"{directory}: missing {f.name}"]
     loaded = configmod.load_config(cfg_path)
     if len(loaded.scenarios) != 1:
         return [f"{directory}: config snapshot must hold exactly one scenario"]
@@ -504,28 +512,41 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     """Re-verify every scenario artifact below ``run_dir``; return problems.
 
     Accepts either one scenario directory or a sweep root.  A sweep root's
-    ``manifest.txt``, when present, must list every scenario as ``ok`` with a
-    checked directory; any other entry is a problem of ``<root>/<label>``.
+    ``manifest.txt``, when present, must list every scenario as ``label ok``
+    with a checked directory; any other entry is a problem of
+    ``<root>/<label>``, and a line of any other shape is a problem of the
+    manifest.  Every subdirectory that holds a ``manifest.txt`` (such as the
+    ``<out>/<kind>`` sweeps of ``anthobs run``) is checked as a sweep root too.
     A clean result is an empty list.  Pure function of the on-disk artifacts.
     """
     run_dir = Path(run_dir)
     if not run_dir.exists():
         return [f"{run_dir}: no such directory"]
-    if (run_dir / "series.csv").exists():
+    if (run_dir / "series.csv").exists() or (run_dir / "record.txt").exists():
         return _check_one_dir(run_dir)
     sub = sorted(d for d in run_dir.iterdir() if (d / "series.csv").exists())
-    problems: list[str] = [] if sub else [f"{run_dir}: no scenario artifacts found"]
+    nested = sorted(d for d in run_dir.iterdir() if (d / "manifest.txt").exists())
+    problems: list[str] = [] if sub or nested else [f"{run_dir}: no scenario artifacts found"]
     for d in sub:
         problems.extend(_check_one_dir(d))
     manifest = run_dir / "manifest.txt"
     if manifest.exists():
         checked = {d.name for d in sub}
-        for label, status in (line.split() for line in manifest.read_text().splitlines()
-                              if line.strip()):
+        for number, line in enumerate(manifest.read_text().splitlines(), 1):
+            entry = line.split()
+            if not entry:
+                continue
+            if len(entry) != 2:
+                problems.append(f"{manifest}:{number}: malformed line {line!r},"
+                                " expected 'label status'")
+                continue
+            label, status = entry
             if status != "ok":
                 problems.append(f"{run_dir / label}: manifest status {status!r}")
             elif label not in checked:
                 problems.append(f"{run_dir / label}: listed ok but has no artifacts")
+    for d in nested:
+        problems.extend(check_artifacts(d))
     return problems
 
 

@@ -11,10 +11,12 @@ pre-clamp overshoot is recorded; any overshoot beyond ``OVERSHOOT_LIMIT``
 aborts the run, since the continuous dynamics cannot leave the box and a
 larger excursion signals an unstable step size.
 
-Systems with a handful of scalar components (the within-host model) run on a
-plain-float loop; field systems run the same algorithm on stacked numpy
-arrays.  Both paths perform identical IEEE arithmetic and are cross-checked
-in the test suite.
+One loop serves both models; the kind of the initial state picks its step
+and clamp kernels once per run.  A within-host system (a 1-D initial state)
+runs on tuples of floats, a field system on stacked numpy arrays with the
+component axis first.  The two kernel kinds perform identical IEEE
+arithmetic and are cross-checked in the test suite.  Recorded samples are
+written straight into the preallocated trajectory arrays.
 """
 
 from __future__ import annotations
@@ -152,84 +154,81 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     than ``OVERSHOOT_LIMIT``.
     """
     n_steps = _validate_run(system, t0, t1, dt, scheme, record_stride)
-    if getattr(system, "scalar", False):
-        return _simulate_scalar(system, t0, dt, scheme, n_steps, record_stride,
-                                clamp, truth_only)
-    return _simulate_generic(system, t0, dt, scheme, n_steps, record_stride,
-                             clamp, truth_only)
-
-
-def _finish(system, rec, max_over, meta, truth_only) -> Trajectory:
-    times, truth, obs, meas = rec
-    overshoot = {name: float(v)
-                 for name, v in zip(system.component_names, max_over)}
-    return Trajectory(
-        times=np.array(times),
-        truth=np.array(truth),
-        observer=None if truth_only else np.array(obs),
-        measurements=np.array(meas),
-        overshoot=overshoot,
-        meta=meta,
-    )
-
-
-def _simulate_generic(system, t0, dt, scheme, n_steps, record_stride,
-                      clamp, truth_only) -> Trajectory:
-    stepper = _STEPPERS[scheme]
+    if np.ndim(system.truth0) == 1:  # a handful of scalar components
+        step, clamp_state = _FLOAT_STEPPERS[scheme], _clamp_floats
+        as_state = _floats
+    else:  # component axis first, then the grid axes
+        step, clamp_state = _STEPPERS[scheme], _clamp_array
+        as_state = np.asarray
     names = system.component_names
-    truth = np.array(system.truth0, dtype=float, copy=True)
-    obs = None if truth_only else np.array(system.observer0, dtype=float, copy=True)
-    t_lo, t_hi = system.truth_bounds
-    o_lo, o_hi = system.observer_bounds
-    n_truth = truth.shape[0]
+    truth = as_state(system.truth0)
+    obs = None if truth_only else as_state(system.observer0)
+    t_lo, t_hi = (as_state(b) for b in system.truth_bounds)
+    o_lo, o_hi = (as_state(b) for b in system.observer_bounds)
+    truth_rhs, obs_rhs, measure = system.truth_rhs, system.observer_rhs, system.measure
 
-    rec = ([], [], [], [])
-    max_over = np.zeros(len(names))
-    prev: tuple[float, np.ndarray] | None = None
+    # records go straight into the output rows: a measurement has the shape
+    # of the truth state, (v, rho, drho_dt) against (theta, v, rho)
+    n_rec = n_steps // record_stride + 1
+    times = np.empty(n_rec)
+    truth_rec = np.empty((n_rec, *np.shape(truth)))
+    obs_rec = None if truth_only else np.empty((n_rec, *np.shape(obs)))
+    meas_rec = np.empty_like(truth_rec)
+    max_over = [0.0] * len(names)
+    prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
-        m = system.measure(t, truth, prev)
+        m = measure(t, truth, prev)
         if k % record_stride == 0:
-            rec[0].append(t)
-            rec[1].append(truth.copy())
+            i = k // record_stride
+            times[i] = t
+            truth_rec[i] = truth
             if obs is not None:
-                rec[2].append(obs.copy())
-            rec[3].append(np.array(m, dtype=float, copy=True))
+                obs_rec[i] = obs
+            meas_rec[i] = m
         if k == n_steps:
             break
 
-        new_truth = stepper(system.truth_rhs, t, truth, dt)
-        if obs is not None:
-            new_obs = stepper(lambda tt, z: system.observer_rhs(tt, z, m), t, obs, dt)
+        what = "truth"
+        try:
+            new_truth = step(truth_rhs, t, truth, dt)
+            if obs is not None:
+                what = "observer"
+                new_obs = step(lambda tt, z: obs_rhs(tt, z, m), t, obs, dt)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} ({what})") from None
         prev = (t, truth)
 
-        new_truth, over_t = _clamp_array(new_truth, t_lo, t_hi, clamp)
-        np.maximum(max_over[:n_truth], over_t, out=max_over[:n_truth])
-        truth = new_truth
-        worst = float(over_t.max())
+        truth, over = clamp_state(new_truth, t_lo, t_hi, clamp)
         if obs is not None:
-            new_obs, over_o = _clamp_array(new_obs, o_lo, o_hi, clamp)
-            np.maximum(max_over[n_truth:], over_o, out=max_over[n_truth:])
-            obs = new_obs
-            worst = max(worst, float(over_o.max()))
+            obs, over_o = clamp_state(new_obs, o_lo, o_hi, clamp)
+            over = (*over, *over_o)
+        worst = 0.0
+        for i, ov in enumerate(over):
+            if ov > max_over[i]:
+                max_over[i] = ov
+            if ov > worst:
+                worst = ov
         if worst > OVERSHOOT_LIMIT:
-            idx = int(np.argmax(max_over))
+            idx = max(range(len(max_over)), key=max_over.__getitem__)
             raise OvershootError(
                 f"component {names[idx]!r} overshot its box by "
                 f"{max_over[idx]:.3e} (> {OVERSHOOT_LIMIT}) at t={t + dt}")
 
-    meta = {"scheme": scheme, "dt": dt, "t0": t0, "t1": t0 + n_steps * dt,
-            "record_stride": record_stride, "clamp": clamp}
-    return _finish(system, rec, max_over, meta, truth_only)
+    return Trajectory(
+        times=times,
+        truth=truth_rec,
+        observer=obs_rec,
+        measurements=meas_rec,
+        overshoot={name: float(v) for name, v in zip(names, max_over)},
+        meta={"scheme": scheme, "dt": dt, "t0": t0, "t1": t0 + n_steps * dt,
+              "record_stride": record_stride, "clamp": clamp},
+    )
 
 
 def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, apply: bool):
-    """Clamp componentwise; return (state, per-component overshoot)."""
-    if state.ndim == 1:
-        over = np.maximum(0.0, np.maximum(lo - state, state - hi))
-        if apply and over.max() > 0.0:
-            state = np.clip(state, lo, hi)
-        return state, over
+    """Clamp a stacked field state componentwise; return (state, per-component
+    overshoot)."""
     axes = tuple(range(1, state.ndim))
     over = np.maximum(
         0.0,
@@ -242,17 +241,22 @@ def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, apply: bool)
 
 
 # ---------------------------------------------------------------------------
-# scalar fast path (within-host system: 3 + 2 float components)
+# float kernels: the same arithmetic on tuples of floats (within-host states)
 # ---------------------------------------------------------------------------
 
-def _step_scalar(rhs, t, state, dt, scheme, what):
-    if scheme == "euler":
-        d = rhs(t, state)
-        for x in d:
-            if not math.isfinite(x):
-                raise NonFiniteError(
-                    f"non-finite derivative at t={t}, component {d.index(x)} ({what})")
-        return tuple(x + dt * dx for x, dx in zip(state, d))
+def _floats(values) -> tuple:
+    return tuple(float(x) for x in values)
+
+
+def _euler_floats(rhs, t, state, dt):
+    d = rhs(t, state)
+    for x in d:
+        if not math.isfinite(x):
+            raise NonFiniteError(f"non-finite derivative at t={t}, component {d.index(x)}")
+    return tuple(x + dt * dx for x, dx in zip(state, d))
+
+
+def _rk4_floats(rhs, t, state, dt):
     k1 = rhs(t, state)
     k2 = rhs(t + 0.5 * dt, tuple(x + 0.5 * dt * dx for x, dx in zip(state, k1)))
     k3 = rhs(t + 0.5 * dt, tuple(x + 0.5 * dt * dx for x, dx in zip(state, k2)))
@@ -260,74 +264,18 @@ def _step_scalar(rhs, t, state, dt, scheme, what):
     for stage in (k1, k2, k3, k4):
         for x in stage:
             if not math.isfinite(x):
-                raise NonFiniteError(f"non-finite derivative at t={t} ({what})")
+                raise NonFiniteError(f"non-finite derivative at t={t}")
     return tuple(
         x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
         for x, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
 
 
-def _clamp_scalar(state, lo, hi, apply):
+_FLOAT_STEPPERS = {"euler": _euler_floats, "rk4": _rk4_floats}
+
+
+def _clamp_floats(state, lo, hi, apply):
     over = tuple(max(0.0, l - x, x - h) for x, l, h in zip(state, lo, hi))
     if apply and max(over) > 0.0:
         state = tuple(min(max(x, l), h) for x, l, h in zip(state, lo, hi))
     return state, over
-
-
-def _simulate_scalar(system, t0, dt, scheme, n_steps, record_stride,
-                     clamp, truth_only) -> Trajectory:
-    names = system.component_names
-    truth = tuple(float(x) for x in system.truth0)
-    obs = None if truth_only else tuple(float(x) for x in system.observer0)
-    t_lo, t_hi = (tuple(b) for b in system.truth_bounds)
-    o_lo, o_hi = (tuple(b) for b in system.observer_bounds)
-    n_truth = len(truth)
-
-    rec = ([], [], [], [])
-    max_over = [0.0] * len(names)
-    truth_rhs = system.truth_rhs_scalar
-    obs_rhs = system.observer_rhs_scalar
-    measure = system.measure_scalar
-
-    prev: tuple[float, tuple] | None = None
-    for k in range(n_steps + 1):
-        t = t0 + k * dt
-        m = measure(t, truth, prev)
-        if k % record_stride == 0:
-            rec[0].append(t)
-            rec[1].append(truth)
-            if obs is not None:
-                rec[2].append(obs)
-            rec[3].append(m)
-        if k == n_steps:
-            break
-
-        new_truth = _step_scalar(truth_rhs, t, truth, dt, scheme, "truth")
-        if obs is not None:
-            new_obs = _step_scalar(
-                lambda tt, z: obs_rhs(tt, z, m), t, obs, dt, scheme, "observer")
-        prev = (t, truth)
-
-        truth, over_t = _clamp_scalar(new_truth, t_lo, t_hi, clamp)
-        worst = 0.0
-        for i, ov in enumerate(over_t):
-            if ov > max_over[i]:
-                max_over[i] = ov
-            if ov > worst:
-                worst = ov
-        if obs is not None:
-            obs, over_o = _clamp_scalar(new_obs, o_lo, o_hi, clamp)
-            for i, ov in enumerate(over_o):
-                if ov > max_over[n_truth + i]:
-                    max_over[n_truth + i] = ov
-                if ov > worst:
-                    worst = ov
-        if worst > OVERSHOOT_LIMIT:
-            idx = max(range(len(max_over)), key=lambda i: max_over[i])
-            raise OvershootError(
-                f"component {names[idx]!r} overshot its box by "
-                f"{max_over[idx]:.3e} (> {OVERSHOOT_LIMIT}) at t={t + dt}")
-
-    meta = {"scheme": scheme, "dt": dt, "t0": t0, "t1": t0 + n_steps * dt,
-            "record_stride": record_stride, "clamp": clamp}
-    return _finish(system, rec, max_over, meta, truth_only)

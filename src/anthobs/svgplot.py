@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .fileio import write_atomic
+
 __all__ = ["line_plot"]
 
 WIDTH, HEIGHT = 800, 500
@@ -107,4 +109,4 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
         out.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
                    f'font-size="12">{label}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    write_atomic(path, "\n".join(out) + "\n")

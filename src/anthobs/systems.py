@@ -1,9 +1,12 @@
 """Coupled truth+observer systems consumed by :func:`anthobs.stepping.simulate`.
 
 A system bundles initial states, invariant boxes, right-hand sides and
-measurement synthesis.  States are stacked numpy arrays: component axis
-first, then (for the spatial system) the grid axes, so the same integrator
-drives both models.
+measurement synthesis behind one interface: ``truth_rhs(t, y)``,
+``observer_rhs(t, z, m)`` and ``measure(t, y, prev)``.  The within-host
+system's states and measurements are tuples of floats; the spatial
+system's are stacked numpy arrays, component axis first, then the grid axes.
+The integrator reads the kind from the initial state and drives both
+models with the same loop.
 """
 
 from __future__ import annotations
@@ -35,14 +38,12 @@ def check_inputs(p: ParameterSet, theta0: float, v0: float, rho0: float,
 class WithinHostSystem:
     """Within-host model coupled to its observer.
 
-    Truth state is ``[theta, v, rho]``; observer state is
-    ``[theta_hat, v_hat]`` with the fixed initialisation ``theta_hat(0) = 0``
+    Truth state is ``(theta, v, rho)``; observer state is
+    ``(theta_hat, v_hat)`` with the fixed initialisation ``theta_hat(0) = 0``
     and ``v_hat(0) = v(0)`` assumed by the convergence analysis.
     """
 
     component_names = COMPONENTS
-    #: run on the plain-float integration loop
-    scalar = True
 
     def __init__(self, p: ParameterSet, theta0: float, v0: float, rho0: float,
                  measurement_mode: str = "exact"):
@@ -60,10 +61,14 @@ class WithinHostSystem:
     def max_gain(self) -> float:
         return max(self.p.k1, self.p.k2)
 
-    # scalar loop interface: states and measurements are tuples of floats
+    # states and measurements are tuples of floats
 
-    def truth_rhs_scalar(self, t: float, y: tuple) -> tuple:
+    def truth_rhs(self, t: float, y: tuple) -> tuple:
         return ode.model_rhs(t, ode.ModelState(*y), self.p)
+
+    def measure(self, t: float, y: tuple, prev) -> ode.Measurement:
+        # a name of its own: benchmarks/tracing.py counts measurements by patching it
+        return self.measure_scalar(t, y, prev)
 
     def measure_scalar(self, t: float, y: tuple, prev) -> ode.Measurement:
         s = ode.ModelState(*y)
@@ -74,24 +79,9 @@ class WithinHostSystem:
         # exact mode, and the first step of a differencing sensor
         return ode.make_measurement(t, s, "exact", p=self.p)
 
-    def observer_rhs_scalar(self, t: float, z: tuple, m: tuple) -> tuple:
+    def observer_rhs(self, t: float, z: tuple, m: tuple) -> tuple:
         return ode.observer_rhs(
             t, ode.ObserverState(*z), ode.Measurement(*m), self.p)
-
-    # stacked-array interface (same arithmetic; used by the generic loop)
-
-    def truth_rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(self.truth_rhs_scalar(t, tuple(y.tolist())))
-
-    def measure(self, t: float, y: np.ndarray, prev) -> np.ndarray:
-        if prev is not None:
-            t_prev, y_prev = prev
-            prev = (t_prev, tuple(y_prev.tolist()))
-        return np.array(self.measure_scalar(t, tuple(y.tolist()), prev))
-
-    def observer_rhs(self, t: float, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return np.array(self.observer_rhs_scalar(
-            t, tuple(z.tolist()), tuple(np.asarray(m).tolist())))
 
 
 class SpatialSystem:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from anthobs import Grid, ParameterSet, SpatialParameterSet, SpatialSystem, WithinHostSystem
-from anthobs import runner, simulate
+from anthobs import runner, simulate, svgplot
 from anthobs.cli import main
 from anthobs.config import ConfigError, load_config_text, write_config
+from anthobs.fileio import write_atomic
 
 
 @pytest.fixture()
@@ -267,7 +268,7 @@ class TestSweepAndCheck:
 
     def test_failed_scenario_fails_check(self, p, tmp_path, fast_scenarios, capsys):
         # dt = 1e-4 breaks the diffusion bound of a 512^2 grid: the run fails
-        # at validation and leaves an empty directory behind
+        # at validation and leaves only its record behind
         bad = runner.make_scenario(p, "pde", 0.05, 0.5, 0.05, 0.0, 0.0, dim=2, n=512)
         records = runner.sweep("custom", p, out_dir=tmp_path,
                                scenarios=[fast_scenarios[0], bad])
@@ -275,6 +276,44 @@ class TestSweepAndCheck:
         problems = runner.check_artifacts(tmp_path)
         assert problems == [f"{tmp_path / bad.label}: manifest status 'failed'"]
         assert main(["check", str(tmp_path)]) == 1
+
+    def test_failed_run_writes_record(self, p, tmp_path, fast_scenarios, capsys):
+        bad = runner.make_scenario(p, "pde", 0.05, 0.5, 0.05, 0.0, 0.0, dim=2, n=512)
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=[fast_scenarios[0], bad])
+        d = tmp_path / bad.label
+        assert [f.name for f in d.iterdir()] == ["record.txt"]
+        rec = runner._read_record(d / "record.txt")
+        assert rec["status"] == "failed"
+        assert rec["error"].startswith("ValueError: dt=0.0001 violates the diffusion")
+        assert runner.check_artifacts(d) == [
+            f"{d}: recorded status 'failed' ({rec['error']})"]
+        assert main(["check", str(d)]) == 1
+        assert main(["check", str(tmp_path)]) == 1
+
+    def test_nested_sweep_checked(self, p, tmp_path, fast_scenarios, capsys):
+        # the layout of `anthobs run` with only a sweep line: <out>/<kind>/
+        runner.sweep("custom", p, out_dir=tmp_path / "paper-ode", scenarios=fast_scenarios[:2])
+        assert runner.check_artifacts(tmp_path) == []
+        assert main(["check", str(tmp_path)]) == 0
+
+    def test_nested_sweep_tamper_detected(self, p, tmp_path, fast_scenarios, capsys):
+        # custom scenarios at the root and a sweep below it, as `anthobs run` writes
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
+        nested = tmp_path / "paper-ode"
+        runner.sweep("custom", p, out_dir=nested, scenarios=fast_scenarios[1:2])
+        rec = nested / fast_scenarios[1].label / "record.txt"
+        rec.write_text(rec.read_text().replace("status = ok", "status = failed"))
+        assert runner.check_artifacts(tmp_path) == [f"{rec.parent}: recorded status 'failed'"]
+        assert main(["check", str(tmp_path)]) == 1
+
+    def test_malformed_manifest_line_reported(self, p, tmp_path, fast_scenarios, capsys):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "stray\n")
+        assert runner.check_artifacts(tmp_path) == [
+            f"{manifest}:2: malformed line 'stray', expected 'label status'"]
+        assert main(["check", str(tmp_path)]) == 1
+        assert "malformed line" in capsys.readouterr().err
 
     def test_missing_ok_scenario_detected(self, p, tmp_path, fast_scenarios):
         runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:2])
@@ -290,6 +329,37 @@ class TestSweepAndCheck:
         with pytest.raises(ValueError, match=re.escape(first.label)):
             runner.sweep("custom", p, out_dir=tmp_path / "out", scenarios=[first, twin])
         assert not (tmp_path / "out").exists()
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def _fail_midway(monkeypatch):
+        # the disk fills up after half of the text is written
+        def half_then_fail(self, text):
+            with open(self, "w") as f:
+                f.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+
+    @pytest.mark.parametrize("writer", ["csv", "svg"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / f"artifact.{writer}"
+        self._fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            if writer == "csv":
+                runner._write_csv(target, ("t", "x"), np.ones((50, 2)))
+            else:
+                svgplot.line_plot(target, [0.0, 1.0], [("x", [0.0, 1.0])], "t", "x", "y")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "manifest.txt"
+        write_atomic(target, "a ok\n")
+        self._fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            write_atomic(target, "a ok\nb ok\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["manifest.txt"]
+        assert target.read_text() == "a ok\n"
 
 
 class TestPlots:

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from anthobs import (
+    Grid,
     ModelState,
+    SpatialSystem,
     WithinHostSystem,
     model_rhs,
     simulate,
     step_euler,
     step_rk4,
 )
+from anthobs import stepping
 from anthobs.stepping import NonFiniteError, OvershootError, cfl_step_limit
 
 
@@ -117,16 +120,35 @@ class TestSimulate:
         assert np.array_equal(a.observer, b.observer)
         assert np.array_equal(a.measurements, b.measurements)
 
-    def test_scalar_and_generic_paths_agree(self, p):
-        p2 = replace(p, k2=1e3)
-        sys_a = WithinHostSystem(p2, 0.75, 0.5, 0.25)
-        tr_a = simulate(sys_a, 0.0, 0.1, 1e-4)
-        sys_b = WithinHostSystem(p2, 0.75, 0.5, 0.25)
-        sys_b.scalar = False
-        tr_b = simulate(sys_b, 0.0, 0.1, 1e-4)
-        assert np.array_equal(tr_a.truth, tr_b.truth)
-        assert np.array_equal(tr_a.observer, tr_b.observer)
-        assert np.array_equal(tr_a.measurements, tr_b.measurements)
+    def test_float_and_array_kernels_agree(self, p):
+        # every Euler and rk4 step and every clamp of the float kernels equals
+        # the array kernels bit for bit on the within-host truth and observer RHS
+        system = WithinHostSystem(replace(p, k2=1e3), 0.75, 0.5, 0.25)
+        as_array = lambda f: lambda t, a: np.array(f(t, tuple(a.tolist())))
+        lo = (0.0, 0.0, 0.0, 0.0, 0.0)
+        hi = (1.0, p.v_max, 1.0, 1.0, p.v_max)
+        dt = 1e-4
+        for scheme in ("euler", "rk4"):
+            float_step = stepping._FLOAT_STEPPERS[scheme]
+            array_step = stepping._STEPPERS[scheme]
+            y, z = (0.75, 0.5, 0.25), (0.0, 0.5)
+            for k in range(1000):
+                t = k * dt
+                m = system.measure(t, y, None)
+                obs_rhs = lambda tt, zz: system.observer_rhs(tt, zz, m)
+                y_new = float_step(system.truth_rhs, t, y, dt)
+                z_new = float_step(obs_rhs, t, z, dt)
+                assert y_new == tuple(array_step(as_array(system.truth_rhs), t, np.array(y), dt))
+                assert z_new == tuple(array_step(as_array(obs_rhs), t, np.array(z), dt))
+                # a state pushed off its box on both sides clamps alike
+                off = (*y_new, *z_new)
+                off = tuple(x + d for x, d in zip(off, (-1e-7, 2e-7, 0.0, 3e-7, -4e-7)))
+                for apply in (True, False):
+                    fs, fo = stepping._clamp_floats(off, lo, hi, apply)
+                    as_, ao = stepping._clamp_array(np.array(off)[:, None], np.array(lo),
+                                                    np.array(hi), apply)
+                    assert fs == tuple(as_[:, 0]) and fo == tuple(ao)
+                y, z = y_new, z_new
 
     def test_clamp_off_close_to_clamp_on(self, p):
         sys_on = WithinHostSystem(p, 0.75, 0.5, 0.25)
@@ -155,11 +177,58 @@ class TestSimulate:
     def test_overshoot_abort(self, p):
         # a hostile rhs that jumps far outside the box must abort the run
         class Hostile(WithinHostSystem):
-            def truth_rhs_scalar(self, t, y):
+            def truth_rhs(self, t, y):
                 return (1e6, 0.0, 0.0)
         system = Hostile(p, 0.5, 0.5, 0.25)
         with pytest.raises(OvershootError, match="theta"):
             simulate(system, 0.0, 0.1, 1e-4)
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind", ["within_host", "spatial_1d"])
+    def test_nonfinite_observer_named(self, p, sp, kind, scheme):
+        within_host = kind == "within_host"
+
+        class Broken(WithinHostSystem if within_host else SpatialSystem):
+            def observer_rhs(self, t, z, m):
+                return (math.nan, 0.0) if within_host else np.stack([z[0] * math.nan, z[1]])
+        system = (Broken(p, 0.5, 0.5, 0.25) if within_host
+                  else Broken(sp, Grid(1, 4), 0.5, 0.5, 0.5))
+        with pytest.raises(NonFiniteError, match=r"at t=0\.0.*\(observer\)$"):
+            simulate(system, 0.0, 0.01, 1e-4, scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind", ["within_host", "spatial_1d"])
+    @pytest.mark.parametrize("pushed", ["theta", "theta_hat"])
+    def test_small_overshoot_is_clamped(self, p, sp, kind, scheme, pushed):
+        # every step pushes theta to 1 + 5e-7 (or theta_hat to -5e-7): below
+        # OVERSHOOT_LIMIT, so the run completes, the box holds and the
+        # excursion is recorded for that component only
+        rate = 5e-7 / 1e-4
+        up = rate if pushed == "theta" else 0.0
+        down = rate if pushed == "theta_hat" else 0.0
+        if kind == "within_host":
+            class Pushed(WithinHostSystem):
+                def truth_rhs(self, t, y):
+                    return (up, 0.0, 0.0)
+
+                def observer_rhs(self, t, z, m):
+                    return (-down, 0.0)
+            system = Pushed(p, 1.0, 0.5, 0.25)
+        else:
+            class Pushed(SpatialSystem):
+                def truth_rhs(self, t, y):
+                    return np.stack([np.full_like(y[0], up), 0.0 * y[1], 0.0 * y[2]])
+
+                def observer_rhs(self, t, z, m):
+                    return np.stack([np.full_like(z[0], -down), 0.0 * z[1]])
+            system = Pushed(sp, Grid(1, 4), 1.0, 0.5, 0.25)
+        traj = simulate(system, 0.0, 0.01, 1e-4, scheme=scheme, record_stride=1)
+        assert len(traj) == 101
+        assert np.all(traj.truth[:, 0] == 1.0)
+        assert np.all(traj.observer[:, 0] == 0.0)
+        assert traj.overshoot[pushed] == pytest.approx(5e-7, rel=1e-6)
+        assert set(traj.overshoot.values()) == {0.0, traj.overshoot[pushed]}
+        assert sum(v > 0.0 for v in traj.overshoot.values()) == 1
 
     def test_bad_scheme_rejected(self, p):
         system = WithinHostSystem(p, 0.5, 0.5, 0.25)
