@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import runner
-from .config import ConfigError, LoadedConfig, load_config
-from .params import ParameterSet, SpatialParameterSet, validate_spatial
+from .config import ConfigError, LoadedConfig, load_config, load_config_text
+from .params import validate_spatial
 
 __all__ = ["main"]
 
@@ -53,17 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str | None) -> LoadedConfig:
-    if path is None:
-        p = ParameterSet()
-        return LoadedConfig(p, SpatialParameterSet(base=p), [], [])
-    return load_config(path)
+    # no file: the reference defaults of an empty configuration
+    return load_config_text("") if path is None else load_config(path)
 
 
 def _cmd_validate(args) -> int:
-    if args.config is None:
-        cfg = _load(None)
-    else:
-        cfg = load_config(args.config, strict=False)
+    cfg = _load(None) if args.config is None else load_config(args.config, strict=False)
     violations = validate_spatial(cfg.spatial)
     for v in violations:
         kind = "error" if v.hard else "warning"
@@ -133,16 +127,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    run_dir = Path(args.run_dir)
-    dirs = [run_dir] if (run_dir / "series.csv").exists() else sorted(
-        d for d in run_dir.iterdir() if (d / "series.csv").exists())
+    dirs = runner.scenario_dirs(args.run_dir)
     if not dirs:
-        print(f"no artifacts under {run_dir}", file=sys.stderr)
+        print(f"no artifacts under {args.run_dir}", file=sys.stderr)
         return 2
     for d in dirs:
-        for kind in ("estimate", "error"):
-            out = runner.emit_plot(d, kind)
-            print(f"wrote {out}")
+        for kind in runner.PLOTS:
+            print(f"wrote {runner.emit_plot(d, kind)}")
     return 0
 
 

@@ -25,18 +25,10 @@ from .params import ParameterSet, SpatialParameterSet, validate, validate_spatia
 __all__ = ["ConfigError", "LoadedConfig", "load_config", "load_config_text",
            "write_config", "scenario_line"]
 
+#: Config keys and their annotations: the fields of the parameter sets.
 _PARAM_TYPES = {f.name: f.type for f in dataclasses.fields(ParameterSet)}
-_STR_PARAM_KEYS = {"p1_mode", "p2_mode", "eta_mode"}
-_INT_PARAM_KEYS = {"seed"}
-_SPATIAL_FLOAT_KEYS = {"diffusivity", "anisotropy_scale", "K1", "K2"}
-_SPATIAL_STR_KEYS = {"spatial_profile"}
-_SPATIAL_POINT_KEYS = {"x0", "x1", "x2", "x3"}
-
-_SCENARIO_KEYS = {
-    "theta0": float, "v0": float, "rho0": float, "k1": float, "k2": float,
-    "measurement": str, "scheme": str, "t0": float, "t1": float,
-    "dim": int, "n": int,
-}
+_SPATIAL_TYPES = {f.name: f.type for f in dataclasses.fields(SpatialParameterSet)
+                  if f.name != "base"}
 
 SWEEP_KINDS = ("paper-ode", "paper-pde")
 
@@ -55,37 +47,31 @@ class LoadedConfig:
     sweeps: list[str]
 
 
-def _parse_value(key: str, raw: str, lineno: int):
-    raw = raw.strip()
+def _parse_value(key: str, annotation: str, raw: str, lineno: int):
     try:
-        if key in _STR_PARAM_KEYS or key in _SPATIAL_STR_KEYS:
+        if annotation == "str":
             return raw
-        if key in _INT_PARAM_KEYS:
+        if annotation == "int":
             return int(raw)
-        if key in _SPATIAL_POINT_KEYS:
+        if annotation.startswith("tuple"):  # a spatial point
             return tuple(float(part) for part in raw.split(","))
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {raw!r} ({exc})")
 
 
-def _parse_scenario(raw: str, lineno: int, defaults: dict) -> dict:
+def _parse_scenario(raw: str, lineno: int, keys: dict[str, str]) -> dict:
     parts = raw.split()
     if not parts or parts[0] not in ("ode", "pde"):
         raise ConfigError(f"line {lineno}: scenario must start with 'ode' or 'pde'")
-    fields = dict(defaults)
-    fields["model"] = parts[0]
+    fields = {"model": parts[0]}
     for item in parts[1:]:
         if "=" not in item:
             raise ConfigError(f"line {lineno}: scenario item {item!r} is not key=value")
         key, _, val = item.partition("=")
-        if key not in _SCENARIO_KEYS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown scenario key {key!r}")
-        typ = _SCENARIO_KEYS[key]
-        try:
-            fields[key] = typ(val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad scenario value {item!r} ({exc})")
+        fields[key] = _parse_value(key, keys[key], val, lineno)
     return fields
 
 
@@ -99,6 +85,8 @@ def load_config_text(text: str, strict: bool = True) -> LoadedConfig:
     """
     from . import runner  # Scenario lives with the execution machinery
 
+    scenario_keys = {f.name: f.type for f in dataclasses.fields(runner.Scenario)
+                     if f.name != "model"}
     param_kv: dict[str, object] = {}
     spatial_kv: dict[str, object] = {}
     scenario_lines: list[tuple[dict, int]] = []
@@ -114,17 +102,16 @@ def load_config_text(text: str, strict: bool = True) -> LoadedConfig:
         key = key.strip()
         raw = raw.strip()
         if key == "scenario":
-            scenario_lines.append((_parse_scenario(raw, lineno, {}), lineno))
+            scenario_lines.append((_parse_scenario(raw, lineno, scenario_keys), lineno))
         elif key == "sweep":
             if raw not in SWEEP_KINDS:
                 raise ConfigError(
                     f"line {lineno}: unknown sweep {raw!r}; pick one of {SWEEP_KINDS}")
             sweeps.append(raw)
         elif key in _PARAM_TYPES:
-            param_kv[key] = _parse_value(key, raw, lineno)
-        elif key in _SPATIAL_FLOAT_KEYS or key in _SPATIAL_STR_KEYS \
-                or key in _SPATIAL_POINT_KEYS:
-            spatial_kv[key] = _parse_value(key, raw, lineno)
+            param_kv[key] = _parse_value(key, _PARAM_TYPES[key], raw, lineno)
+        elif key in _SPATIAL_TYPES:
+            spatial_kv[key] = _parse_value(key, _SPATIAL_TYPES[key], raw, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
@@ -179,9 +166,7 @@ def write_config(p: ParameterSet, sp: SpatialParameterSet | None = None,
     for f in dataclasses.fields(ParameterSet):
         lines.append(f"{f.name} = {_fmt(getattr(p, f.name))}")
     if sp is not None:
-        for key in sorted(_SPATIAL_FLOAT_KEYS | _SPATIAL_STR_KEYS):
-            lines.append(f"{key} = {_fmt(getattr(sp, key))}")
-        for key in sorted(_SPATIAL_POINT_KEYS):
+        for key in sorted(_SPATIAL_TYPES):  # the sorted order puts the points last
             lines.append(f"{key} = {_fmt(getattr(sp, key))}")
     for s in scenarios or []:
         lines.append(scenario_line(s))
@@ -189,10 +174,8 @@ def write_config(p: ParameterSet, sp: SpatialParameterSet | None = None,
 
 
 def scenario_line(s) -> str:
-    """One-line config statement reproducing scenario ``s``."""
-    items = [f"theta0={s.theta0!r}", f"v0={s.v0!r}", f"rho0={s.rho0!r}",
-             f"k1={s.k1!r}", f"k2={s.k2!r}", f"measurement={s.measurement}",
-             f"scheme={s.scheme}", f"t0={s.t0!r}", f"t1={s.t1!r}"]
-    if s.model == "pde":
-        items += [f"dim={s.dim}", f"n={s.n}"]
+    """One-line config statement reproducing scenario ``s`` (a within-host
+    scenario has no grid)."""
+    items = [f"{f.name}={_fmt(getattr(s, f.name))}" for f in dataclasses.fields(s)
+             if f.name != "model" and (s.model == "pde" or f.name not in ("dim", "n"))]
     return "scenario = " + " ".join([s.model] + items)

@@ -56,13 +56,15 @@ def relative_abs_error(theta, theta_hat, floor: float = REL_ERR_FLOOR):
 
 @dataclass
 class ErrorSeries:
-    """Per-time estimation errors; spatial runs carry (min, mean, max) triples."""
+    """Per-time estimation errors; spatial runs carry (min, mean, max) triples
+    and the L2 norm of the error field."""
 
     times: np.ndarray
     abs_err: np.ndarray
     rel_err: np.ndarray
     abs_agg: np.ndarray | None = None  # (n, 3) spatial min/mean/max of abs_err
     rel_agg: np.ndarray | None = None  # (n, 3) spatial min/mean/max of rel_err
+    l2_err: np.ndarray | None = None  # (n,) sqrt of the cell mean of e^2
 
 
 def error_series_ode(traj, floor: float = REL_ERR_FLOOR) -> ErrorSeries:
@@ -91,6 +93,7 @@ def error_series_pde(traj, floor: float = REL_ERR_FLOOR) -> ErrorSeries:
         rel_err=rel_err.mean(axis=axes),
         abs_agg=agg(abs_err),
         rel_agg=agg(rel_err),
+        l2_err=np.sqrt((abs_err ** 2).mean(axis=axes)),  # unit domain: h^dim * sum = mean
     )
 
 

@@ -239,9 +239,9 @@ class ConditionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def condition_report(batches, p: ParameterSet, k1: float, k2: float,
-                     notes: list[str]) -> ConditionReport:
-    """Condition infima over every sample of one run's ``batches``.
+def condition_report(batches, p: ParameterSet, notes: list[str]) -> ConditionReport:
+    """Condition infima over every sample of one run's ``batches``, with the
+    observer gains ``p.k1`` and ``p.k2``.
 
     A batch ``(t, alpha, w, theta, rot, rot_hat, o, m, ratio, excluded)``
     broadcasts: its times, inhibition forcing, control weight, true rate, rot
@@ -249,6 +249,7 @@ def condition_report(batches, p: ParameterSet, k1: float, k2: float,
     observer state, measurement, stability factor ``R`` (``None``: not
     evaluable when ``k1 > 0``) and the samples excluded as singular.
     """
+    k1, k2 = p.k1, p.k2
     infima: dict[str, list] = {key: [] for key in ("alpha", "coer", "s1", "s2", "dom")}
     zero_times: list[float] = []
     n_coer = n_excluded = 0
@@ -324,4 +325,4 @@ def check_conditions(traj, p: ParameterSet) -> ConditionReport:
             (v < SINGULAR_TOL) | (np.abs(1.0 - theta * w) < SINGULAR_TOL) | (alpha < SINGULAR_TOL))
     batch = (t, alpha, w, theta, rot(t, theta, m.v, m.rho, p), rot(t, o.theta_hat, m.v, m.rho, p),
              o, m, ratio, excluded)
-    return condition_report([batch], p, p.k1, p.k2, [])
+    return condition_report([batch], p, [])

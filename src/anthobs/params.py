@@ -97,7 +97,8 @@ class SpatialParameterSet:
     ``[0, anisotropy_scale)`` using ``base.seed`` (control matrix) and
     ``base.seed + i`` (profile matrix i).  ``spatial_profile = "uniform"``
     replaces every spatial factor by 1, which reduces each grid cell to the
-    within-host model.
+    within-host model.  The observer gains are the spatially constant
+    ``base.k1`` and ``base.k2``.
     """
 
     base: ParameterSet = field(default_factory=ParameterSet)
@@ -109,15 +110,6 @@ class SpatialParameterSet:
     x1: tuple[float, ...] = (0.0, 0.0, 0.0)
     x2: tuple[float, ...] = (0.0, 0.0, 0.0)
     x3: tuple[float, ...] = (0.0, 0.0, 0.0)
-    # spatially constant observer gain fields; default to the base gains
-    K1: float | None = None
-    K2: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.K1 is None:
-            object.__setattr__(self, "K1", self.base.k1)
-        if self.K2 is None:
-            object.__setattr__(self, "K2", self.base.k2)
 
     def center(self, i: int, dim: int) -> tuple[float, ...]:
         """Centre of radial factor ``i`` (0 = control) truncated to ``dim``."""
@@ -139,16 +131,18 @@ def gain_cap(dt: float) -> float:
     return 1.0 / (10.0 * dt)
 
 
-def _check_gains(out: list[Violation], gains: dict[str, float], dt: float) -> None:
-    """Gains must be finite, >= 0 and (for a positive step) within the cap."""
-    for key, k in gains.items():
-        if k < 0.0 or not math.isfinite(k):
-            out.append(Violation(key, f"{key}={k} must be finite and >= 0", hard=True))
+def _check_gains(k1: float, k2: float, dt: float) -> list[Violation]:
+    """The gain rule: both gains finite and >= 0 and, for a positive step, within
+    the cap; one violation per broken condition."""
+    gains = {"k1": k1, "k2": k2}
+    out = [Violation(key, f"{key}={k} must be finite and >= 0", hard=True)
+           for key, k in gains.items() if k < 0.0 or not math.isfinite(k)]
     top = max(gains, key=gains.get)
     if dt > 0 and gains[top] > gain_cap(dt):
         out.append(Violation(
-            top, f"gain cap exceeded: max({','.join(gains)})={gains[top]} >"
+            top, f"gain cap exceeded: max(k1,k2)={gains[top]} >"
             f" 1/(10*dt)={gain_cap(dt)}", hard=True))
+    return out
 
 
 def _check_selector(out: list[Violation], key: str, value: str, allowed) -> None:
@@ -180,7 +174,7 @@ def validate(p: ParameterSet) -> list[Violation]:
         out.append(Violation(
             "eta_star",
             f"eta_star={p.eta_star} must lie in ]0,1[ (lower bound of eta)"))
-    _check_gains(out, {"k1": p.k1, "k2": p.k2}, p.dt)
+    out += _check_gains(p.k1, p.k2, p.dt)
     for key in ("b1", "b2", "b3"):
         if getattr(p, key) < 0.0:
             out.append(Violation(key, f"{key}={getattr(p, key)} must be >= 0 (nonnegative forcing)"))
@@ -235,9 +229,5 @@ def validate_spatial(sp: SpatialParameterSet) -> list[Violation]:
     if sp.anisotropy_scale < 0.0:
         out.append(Violation("anisotropy_scale",
                              f"anisotropy_scale={sp.anisotropy_scale} must be >= 0"))
-    if sp.spatial_profile not in ("radial", "uniform"):
-        out.append(Violation("spatial_profile",
-                             f"spatial_profile={sp.spatial_profile!r} not one of"
-                             " ['radial', 'uniform']", hard=True))
-    _check_gains(out, {"K1": sp.K1, "K2": sp.K2}, sp.base.dt)
+    _check_selector(out, "spatial_profile", sp.spatial_profile, ("radial", "uniform"))
     return out

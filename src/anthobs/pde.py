@@ -159,14 +159,14 @@ def spatial_observer_rhs(t: float, o: ode.ObserverState, m: ode.Measurement, gri
 
     Reads only its own state ``o`` and the measured fields ``m``.  The
     estimate diffuses like the true inhibition rate; corrections act
-    pointwise with the (spatially constant) gain fields ``K1, K2``.
+    pointwise with the spatially constant gains ``k1, k2`` of ``sp.base``.
     """
     p = sp.base
     predicted = rot_rate(t, ode.ModelState(o.theta_hat, m.v, m.rho), coef, p)
     dtheta = (
         inhibition_forcing_field(t, coef, p) * (1.0 - _weight_field(t, coef, p) * o.theta_hat)
-        + sp.K1 * ode.phi1_field(o.theta_hat, o.v_hat, m.v, p.epsilon)
-        + sp.K2 * ode.phi2_field(o.theta_hat, m.drho_dt, predicted)
+        + p.k1 * ode.phi1_field(o.theta_hat, o.v_hat, m.v, p.epsilon)
+        + p.k2 * ode.phi2_field(o.theta_hat, m.drho_dt, predicted)
         + laplacian_neumann(o.theta_hat, grid, sp.diffusivity)
     )
     dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * ode.phi3_field(
@@ -189,7 +189,7 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
                              sensitivity: np.ndarray | None = None) -> ode.ConditionReport:
     """Evaluate the convergence diagnostics over every (time, cell) sample.
 
-    With ``K1 > 0`` the stability factor is ``R = (v + (1+epsilon-theta)*S)/v``
+    With ``k1 > 0`` the stability factor is ``R = (v + (1+epsilon-theta)*S)/v``
     where ``S = sensitivity[i]`` is ``d v / d theta(0)`` at record ``i``, from
     paired truth runs; cells with ``v`` below tolerance are excluded and
     counted.  Without ``sensitivity`` the stability infima are ``None``.
@@ -198,9 +198,9 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     notes: list[str] = []
-    if sp.K1 > 0.0 and sensitivity is None:
+    if p.k1 > 0.0 and sensitivity is None:
         notes.append(
-            "stability expressions skipped: K1 > 0 needs the paired-run"
+            "stability expressions skipped: k1 > 0 needs the paired-run"
             " volume sensitivity estimate")
 
     def batches():
@@ -209,7 +209,7 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
             o = ode.ObserverState(*traj.observer[i])
             m = ode.Measurement(*traj.measurements[i])
             ratio, excluded = None, False
-            if sp.K1 > 0.0 and sensitivity is not None:
+            if p.k1 > 0.0 and sensitivity is not None:
                 excluded = v < ode.SINGULAR_TOL
                 ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[i]) / np.where(excluded, 1.0, v)
             yield (t, inhibition_forcing_field(t, coef, p), _weight_field(t, coef, p), theta,
@@ -217,4 +217,4 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
                    coef.q3 * forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p),
                    o, m, ratio, excluded)
 
-    return ode.condition_report(batches(), p, sp.K1, sp.K2, notes)
+    return ode.condition_report(batches(), p, notes)

@@ -10,8 +10,9 @@ tampered artifact never passes.
 CSV schemas
 -----------
 ODE: ``t,theta,v,rho,theta_hat,v_hat,abs_err,rel_err``
-PDE: ``t`` plus ``{min,mean,max}`` triples for ``theta``, ``theta_hat``,
-``abs_err`` and ``rel_err``.
+PDE: ``t``, the ``{min,mean,max}`` triples of ``theta``, ``theta_hat`` and
+``abs_err``, then ``l2_err`` (the square root of the cell mean of the squared
+error, the norm of the L2 envelope), then the ``rel_err`` triple.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 from . import config as configmod
 from . import metrics, ode, pde, svgplot
 from .fileio import write_atomic
-from .params import ParameterSet, SpatialParameterSet, gain_cap
-from .stepping import SCHEMES, simulate
-from .systems import SpatialSystem, WithinHostSystem, check_inputs
+from .params import ParameterSet, SpatialParameterSet
+from .stepping import check_run, simulate
+from .systems import COMPONENTS, SpatialSystem, WithinHostSystem, check_inputs, state_box
 
 __all__ = [
     "Scenario",
@@ -41,6 +42,7 @@ __all__ = [
     "run_scenario",
     "sweep",
     "check_artifacts",
+    "scenario_dirs",
     "emit_plot",
     "output_root",
 ]
@@ -56,9 +58,21 @@ RECORD_STRIDE = 10
 ENV_OUTPUT_VAR = "ANTHOBS_OUT"
 
 ODE_COLUMNS = ("t", "theta", "v", "rho", "theta_hat", "v_hat", "abs_err", "rel_err")
-PDE_COLUMNS = ("t",) + tuple(
-    f"{name}_{agg}" for name in ("theta", "theta_hat", "abs_err", "rel_err")
-    for agg in ("min", "mean", "max"))
+
+
+def _aggregates(name: str) -> tuple[str, str, str]:
+    return (f"{name}_min", f"{name}_mean", f"{name}_max")
+
+
+PDE_COLUMNS = ("t", *_aggregates("theta"), *_aggregates("theta_hat"),
+               *_aggregates("abs_err"), "l2_err", *_aggregates("rel_err"))
+#: Plots of a scenario directory, each written to ``<kind>.svg``: the y label and
+#: the curves, each as (within-host label, spatial label, column).
+PLOTS = {
+    "estimate": ("inhibition rate", [("inhibition rate", "rate", "theta"),
+                                     ("estimate", "estimate", "theta_hat")]),
+    "error": ("relative absolute error", [("relative error", "rel. error", "rel_err")]),
+}
 
 #: Perturbation of theta(0) used for the paired-run volume sensitivity.
 SENSITIVITY_DELTA = 1e-4
@@ -106,19 +120,11 @@ def make_scenario(p: ParameterSet, model: str, theta0: float, v0: float,
     if s.model not in ("ode", "pde"):
         raise ValueError(f"model must be 'ode' or 'pde', got {s.model!r}")
     check_inputs(p, s.theta0, s.v0, s.rho0, s.measurement)
+    check_run(s.t0, s.t1, p.dt, s.scheme, s.k1, s.k2)
     if s.model == "ode" and s.rho0 > s.theta0:
         raise ValueError(f"rho0={s.rho0} must not exceed theta0={s.theta0}")
     if s.model == "pde" and s.rho0 != s.theta0:
         raise ValueError(f"spatial runs take rho0 equal to theta0, got {s.rho0}")
-    if min(s.k1, s.k2) < 0.0:
-        raise ValueError("gains must be >= 0")
-    if max(s.k1, s.k2) > gain_cap(p.dt):
-        raise ValueError(
-            f"gain {max(s.k1, s.k2)} exceeds the cap 1/(10*dt)={gain_cap(p.dt)}")
-    if s.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {s.scheme!r}")
-    if s.t1 < s.t0:
-        raise ValueError(f"t1={s.t1} earlier than t0={s.t0}")
     if s.model == "pde":
         pde.Grid(s.dim, s.n)  # raises on an invalid grid
     return s
@@ -188,10 +194,12 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: np.ndarray) -> None:
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return header, data
+    """Header and rows of a series CSV; ``ValueError`` without rows, on a row of
+    another width, or on a value that is not a number."""
+    header, *rows = path.read_text().splitlines() or [""]
+    if not rows:
+        raise ValueError("no rows")
+    return header.split(","), np.loadtxt(rows, delimiter=",", ndmin=2)
 
 
 def _ode_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
@@ -209,7 +217,7 @@ def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
     cols = [traj.times]
     cols += agg(traj.truth[:, 0])
     cols += agg(traj.observer[:, 0])
-    cols += [err.abs_agg[:, 0], err.abs_agg[:, 1], err.abs_agg[:, 2]]
+    cols += [err.abs_agg[:, 0], err.abs_agg[:, 1], err.abs_agg[:, 2], err.l2_err]
     cols += [err.rel_agg[:, 0], err.rel_agg[:, 1], err.rel_agg[:, 2]]
     return np.column_stack(cols)
 
@@ -230,20 +238,29 @@ def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndar
     return checks
 
 
-def _envelope_checks_pde(s: Scenario, sp: SpatialParameterSet, traj,
-                         alpha_inf: float) -> dict[str, str]:
-    """Spatial L2 envelope verdict for the gain-free observer."""
+def _envelope_checks_pde(s: Scenario, t: np.ndarray, l2_err: np.ndarray,
+                         alpha_inf: float, slack: float = 0.0) -> dict[str, str]:
+    """Spatial L2 envelope verdict of the gain-free observer from the L2 norm
+    ``l2_err`` of its error at times ``t``; ``slack`` as for the within-host checks."""
     checks: dict[str, str] = {"l2_envelope": "n/a"}
     if s.k1 != 0.0 or s.k2 != 0.0 or s.measurement != "exact":
         return checks
-    err = traj.truth[:, 0] - traj.observer[:, 0]
-    axes = tuple(range(1, err.ndim))
-    norm2 = (err ** 2).mean(axis=axes)  # unit domain: h^dim * sum = mean
-    env = metrics.l2_envelope(traj.times - traj.times[0], alpha_inf,
-                              float(np.sqrt(norm2[0])))
-    res = metrics.envelope_check(norm2, env, tol=metrics.ENVELOPE_TOL)
+    env = metrics.l2_envelope(t - t[0], alpha_inf, float(l2_err[0]))
+    res = metrics.envelope_check(l2_err ** 2, env + slack, tol=metrics.ENVELOPE_TOL)
     checks["l2_envelope"] = "pass" if res.passed else "fail"
     return checks
+
+
+def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
+              alpha_inf: float, slack: float = 0.0) -> tuple[dict[str, str], float, float]:
+    """Envelope verdicts and final absolute and relative errors of a run, read
+    from its artifact columns ``col``; the run and :func:`check_artifacts` both
+    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic."""
+    if s.model == "ode":
+        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"], slack)
+        return checks, float(col["abs_err"][-1]), float(col["rel_err"][-1])
+    checks = _envelope_checks_pde(s, col["t"], col["l2_err"], alpha_inf, slack)
+    return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
 
 
 def _volume_sensitivity(s: Scenario, sp: SpatialParameterSet, grid) -> np.ndarray:
@@ -282,13 +299,12 @@ def run_scenario(s: Scenario, p: ParameterSet,
 
     Failures (overshoot, instability, non-finite states) are captured in the
     record with ``status="failed"`` and the error line, so a batch can
-    continue; a failed run's directory holds only ``record.txt``.
+    continue; a failed run's directory holds only ``record.txt``, since the
+    artifacts of an earlier run of the same label are removed.
     """
     t_start = time.perf_counter()
     p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
-    if sp is None:
-        sp = SpatialParameterSet(base=p)
-    sp_run = dataclasses.replace(sp, base=p_run, K1=s.k1, K2=s.k2)
+    sp_run = dataclasses.replace(sp or SpatialParameterSet(), base=p_run)
 
     directory = None
     if out_dir is not None:
@@ -299,22 +315,19 @@ def run_scenario(s: Scenario, p: ParameterSet,
         if s.model == "ode":
             system = WithinHostSystem(p_run, s.theta0, s.v0, s.rho0, s.measurement)
             traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
-            err = metrics.error_series_ode(traj)
+            rows = _ode_rows(traj, metrics.error_series_ode(traj))
             report = ode.check_conditions(traj, p_run)
-            checks = _envelope_checks_ode(s, p_run, traj.times,
-                                          traj.truth[:, 0] - traj.observer[:, 0])
-            rows = _ode_rows(traj, err)
             columns = ODE_COLUMNS
         else:
             grid = pde.Grid(s.dim, s.n)
             system = SpatialSystem(sp_run, grid, s.theta0, s.v0, s.rho0, s.measurement)
             traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
-            err = metrics.error_series_pde(traj)
+            rows = _pde_rows(traj, metrics.error_series_pde(traj))
             sens = _volume_sensitivity(s, sp_run, grid) if s.k1 > 0.0 else None
             report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
-            checks = _envelope_checks_pde(s, sp_run, traj, report.alpha_inf)
-            rows = _pde_rows(traj, err)
             columns = PDE_COLUMNS
+        checks, final_abs_err, final_rel_err = _verdicts(
+            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
     except Exception as exc:  # recorded, batch continues
         record = RunRecord(
             scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
@@ -322,6 +335,8 @@ def run_scenario(s: Scenario, p: ParameterSet,
             final_abs_err=None, final_rel_err=None, checks={}, condition={},
             out_dir=str(directory) if directory else None)
         if directory is not None:
+            for name in ("config.txt", "series.csv", *(f"{kind}.svg" for kind in PLOTS)):
+                (directory / name).unlink(missing_ok=True)
             _write_record(directory / "record.txt", record)
         return record
 
@@ -331,8 +346,8 @@ def run_scenario(s: Scenario, p: ParameterSet,
         error=None,
         wall_clock_s=time.perf_counter() - t_start,
         overshoot=traj.overshoot,
-        final_abs_err=float(err.abs_err[-1]),
-        final_rel_err=float(err.rel_err[-1]),
+        final_abs_err=final_abs_err,
+        final_rel_err=final_rel_err,
         checks=checks,
         condition=_condition_summary(report),
         out_dir=str(directory) if directory else None,
@@ -343,8 +358,8 @@ def run_scenario(s: Scenario, p: ParameterSet,
                                             scenarios=[s]))
         _write_csv(directory / "series.csv", columns, rows)
         _write_record(directory / "record.txt", record)
-        emit_plot(directory, "estimate")
-        emit_plot(directory, "error")
+        for kind in PLOTS:
+            emit_plot(directory, kind)
     return record
 
 
@@ -420,7 +435,6 @@ def sweep(kind: str, p: ParameterSet | None = None,
 # ---------------------------------------------------------------------------
 
 def _check_one_dir(directory: Path) -> list[str]:
-    problems: list[str] = []
     csv_path = directory / "series.csv"
     rec_path = directory / "record.txt"
     cfg_path = directory / "config.txt"
@@ -433,79 +447,85 @@ def _check_one_dir(directory: Path) -> list[str]:
     for f in (csv_path, cfg_path):
         if not f.exists():
             return [f"{directory}: missing {f.name}"]
-    loaded = configmod.load_config(cfg_path)
+    try:
+        loaded = configmod.load_config(cfg_path)
+    except configmod.ConfigError as exc:
+        return [f"{directory}: {cfg_path.name}: {exc}"]
     if len(loaded.scenarios) != 1:
         return [f"{directory}: config snapshot must hold exactly one scenario"]
-    s = loaded.scenarios[0]
-    p = dataclasses.replace(loaded.params, k1=s.k1, k2=s.k2)
-    header, data = _read_csv(csv_path)
+    s, p = loaded.scenarios[0], loaded.params
+    try:
+        header, data = _read_csv(csv_path)
+    except ValueError as exc:
+        return [f"{directory}: unparsable {csv_path.name}: {exc}"]
     expected_cols = list(ODE_COLUMNS if s.model == "ode" else PDE_COLUMNS)
-    if header != expected_cols:
-        return [f"{directory}: unexpected CSV columns {header}"]
-    col = {name: data[:, i] for i, name in enumerate(header)}
+    if header != expected_cols or data.shape[1] != len(header):
+        return [f"{directory}: unexpected CSV table: columns {header}, shape {data.shape}"]
+    col = dict(zip(header, data.T))
     t = col["t"]
     nine_digit_slack = 1e-7
+    problems: list[str] = []
 
     if len(t) > 1:
         strides = np.diff(t)
         if np.any(strides <= 0) or np.ptp(strides) > 1e-9:
             problems.append(f"{directory}: time axis is not a uniform grid")
 
+    for name, lo, hi in zip(COMPONENTS, *state_box(p)):
+        for key in (name, f"{name}_min", f"{name}_max"):
+            if key in col and (col[key].min() < lo - nine_digit_slack
+                               or col[key].max() > hi + nine_digit_slack):
+                problems.append(f"{directory}: column {key} leaves [{lo:g}, {hi:g}]")
+
     if s.model == "ode":
-        box = {"theta": (0, 1), "v": (0, p.v_max), "rho": (0, 1),
-               "theta_hat": (0, 1), "v_hat": (0, p.v_max)}
-        for name, (lo, hi) in box.items():
-            vals = col[name]
-            if vals.min() < lo - nine_digit_slack or vals.max() > hi + nine_digit_slack:
-                problems.append(f"{directory}: column {name} leaves [{lo}, {hi}]")
         abs_err = np.abs(col["theta"] - col["theta_hat"])
         if np.max(np.abs(abs_err - col["abs_err"])) > nine_digit_slack:
             problems.append(f"{directory}: abs_err column does not match theta, theta_hat")
         rel_err = metrics.relative_abs_error(col["theta"], col["theta_hat"])
         if np.max(np.abs(rel_err - col["rel_err"])) > 2e-7 * (1 + np.max(rel_err)):
             problems.append(f"{directory}: rel_err column does not match theta, theta_hat")
-        checks = _envelope_checks_ode(s, p, t, col["theta"] - col["theta_hat"],
-                                      nine_digit_slack)
     else:
-        for base_name in ("theta", "theta_hat", "abs_err", "rel_err"):
-            mn = col[f"{base_name}_min"]
-            mean = col[f"{base_name}_mean"]
-            mx = col[f"{base_name}_max"]
-            if np.any(mn > mean + nine_digit_slack) or np.any(mean > mx + nine_digit_slack):
-                problems.append(f"{directory}: {base_name} min/mean/max not ordered")
-        for name in ("theta_min", "theta_max", "theta_hat_min", "theta_hat_max"):
-            if col[name].min() < -nine_digit_slack or col[name].max() > 1 + nine_digit_slack:
-                problems.append(f"{directory}: column {name} leaves [0, 1]")
-        checks = _recheck_envelopes_pde(s, rec, col, nine_digit_slack)
+        # min <= mean <= max per quantity; mean |e| <= l2 <= max |e| as well
+        for name in ("theta", "theta_hat", "abs_err", "rel_err"):
+            chain = _aggregates(name)
+            if name == "abs_err":
+                chain = (chain[0], chain[1], "l2_err", chain[2])
+            if any(np.any(col[a] > col[b] + nine_digit_slack) for a, b in zip(chain, chain[1:])):
+                problems.append(f"{directory}: columns {', '.join(chain)} not ordered")
 
+    alpha_inf = float(rec.get("cond_alpha_inf") or 0.0)
+    checks, *finals = _verdicts(s, p, col, alpha_inf, nine_digit_slack)
     for name, verdict in checks.items():
         recorded = rec.get(f"check_{name}")
         if recorded != verdict:
             problems.append(
                 f"{directory}: check {name} recomputes to {verdict!r}"
                 f" but record says {recorded!r}")
-    for name in ("final_abs_err", "final_rel_err"):
+    for name, fresh in zip(("final_abs_err", "final_rel_err"), finals):
         recorded = rec.get(name)
-        fresh = col["abs_err" if name == "final_abs_err" else "rel_err"][-1] \
-            if s.model == "ode" else col[name.replace("final_", "") + "_mean"][-1]
         if recorded is None or abs(float(recorded) - fresh) > nine_digit_slack:
             problems.append(f"{directory}: {name} does not match the CSV")
     return problems
 
 
-def _recheck_envelopes_pde(s, rec, col, slack) -> dict[str, str]:
-    # the CSV stores aggregates, not fields: replay the mean-square bound
-    # ||e||^2 <= exp(-2 t inf(alpha)) ||e(0)||^2 via the recorded inf(alpha)
-    checks = {"l2_envelope": "n/a"}
-    if s.k1 != 0.0 or s.k2 != 0.0 or s.measurement != "exact":
-        return checks
-    alpha_inf = float(rec.get("cond_alpha_inf", "0") or 0.0)
-    e_mean = col["abs_err_mean"]
-    # mean |e| <= sqrt(mean e^2): the recorded aggregate obeys the envelope root
-    env = np.sqrt(metrics.l2_envelope(col["t"] - col["t"][0], alpha_inf, e_mean[0]))
-    res = metrics.envelope_check(e_mean, env + slack, tol=metrics.ENVELOPE_TOL)
-    checks["l2_envelope"] = "pass" if res.passed else "fail"
-    return checks
+def _sweeps(run_dir: Path):
+    """Yield ``(sweep root, scenario directories)``: ``(None, [run_dir])`` when
+    ``run_dir`` is one scenario, else ``run_dir`` with its subdirectories that
+    hold a ``series.csv``, then the same for every subdirectory that holds a
+    ``manifest.txt`` (such as the ``<out>/<kind>`` sweeps of ``anthobs run``)."""
+    if (run_dir / "series.csv").exists() or (run_dir / "record.txt").exists():
+        yield None, [run_dir]
+        return
+    subdirs = sorted(run_dir.iterdir())
+    yield run_dir, [d for d in subdirs if (d / "series.csv").exists()]
+    for d in subdirs:
+        if (d / "manifest.txt").exists():
+            yield from _sweeps(d)
+
+
+def scenario_dirs(run_dir: str | Path) -> list[Path]:
+    """Every scenario directory :func:`check_artifacts` verifies for ``run_dir``."""
+    return [d for _, dirs in _sweeps(Path(run_dir)) for d in dirs]
 
 
 def check_artifacts(run_dir: str | Path) -> list[str]:
@@ -515,23 +535,23 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     ``manifest.txt``, when present, must list every scenario as ``label ok``
     with a checked directory; any other entry is a problem of
     ``<root>/<label>``, and a line of any other shape is a problem of the
-    manifest.  Every subdirectory that holds a ``manifest.txt`` (such as the
-    ``<out>/<kind>`` sweeps of ``anthobs run``) is checked as a sweep root too.
+    manifest.  Every subdirectory that holds a ``manifest.txt`` is checked as a
+    sweep root too.  A damaged snapshot or CSV is a problem of its directory.
     A clean result is an empty list.  Pure function of the on-disk artifacts.
     """
     run_dir = Path(run_dir)
     if not run_dir.exists():
         return [f"{run_dir}: no such directory"]
-    if (run_dir / "series.csv").exists() or (run_dir / "record.txt").exists():
-        return _check_one_dir(run_dir)
-    sub = sorted(d for d in run_dir.iterdir() if (d / "series.csv").exists())
-    nested = sorted(d for d in run_dir.iterdir() if (d / "manifest.txt").exists())
-    problems: list[str] = [] if sub or nested else [f"{run_dir}: no scenario artifacts found"]
-    for d in sub:
-        problems.extend(_check_one_dir(d))
-    manifest = run_dir / "manifest.txt"
-    if manifest.exists():
-        checked = {d.name for d in sub}
+    sweeps = list(_sweeps(run_dir))
+    found = any(dirs for _, dirs in sweeps)
+    problems: list[str] = [] if found else [f"{run_dir}: no scenario artifacts found"]
+    for root, dirs in sweeps:
+        for d in dirs:
+            problems.extend(_check_one_dir(d))
+        if root is None or not (root / "manifest.txt").exists():
+            continue
+        manifest = root / "manifest.txt"
+        checked = {d.name for d in dirs}
         for number, line in enumerate(manifest.read_text().splitlines(), 1):
             entry = line.split()
             if not entry:
@@ -542,41 +562,25 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
                 continue
             label, status = entry
             if status != "ok":
-                problems.append(f"{run_dir / label}: manifest status {status!r}")
+                problems.append(f"{root / label}: manifest status {status!r}")
             elif label not in checked:
-                problems.append(f"{run_dir / label}: listed ok but has no artifacts")
-    for d in nested:
-        problems.extend(check_artifacts(d))
+                problems.append(f"{root / label}: listed ok but has no artifacts")
     return problems
 
 
 def emit_plot(run_dir: str | Path, kind: str, path: str | Path | None = None) -> Path:
     """Render the ``estimate`` or ``error`` plot of a scenario artifact to SVG."""
+    if kind not in PLOTS:
+        raise ValueError(f"unknown plot kind {kind!r}")
     run_dir = Path(run_dir)
     header, data = _read_csv(run_dir / "series.csv")
-    rec = _read_record(run_dir / "record.txt")
-    col = {name: data[:, i] for i, name in enumerate(header)}
-    model = rec.get("scenario_model", "ode")
-    title = run_dir.name
-    t = col["t"]
-    if kind == "estimate":
-        if model == "ode":
-            series = [("inhibition rate", col["theta"]),
-                      ("estimate", col["theta_hat"])]
-        else:
-            series = [(f"rate {agg}", col[f"theta_{agg}"]) for agg in ("min", "mean", "max")]
-            series += [(f"estimate {agg}", col[f"theta_hat_{agg}"])
-                       for agg in ("min", "mean", "max")]
-        ylabel = "inhibition rate"
-    elif kind == "error":
-        if model == "ode":
-            series = [("relative error", col["rel_err"])]
-        else:
-            series = [(f"rel. error {agg}", col[f"rel_err_{agg}"])
-                      for agg in ("min", "mean", "max")]
-        ylabel = "relative absolute error"
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+    col = dict(zip(header, data.T))
+    ylabel, curves = PLOTS[kind]
+    if "theta" in col:  # within-host
+        series = [(label, col[name]) for label, _, name in curves]
+    else:  # spatial: the min/mean/max of each quantity
+        series = [(f"{short} {agg}", col[f"{name}_{agg}"])
+                  for _, short, name in curves for agg in ("min", "mean", "max")]
     out = Path(path) if path else run_dir / f"{kind}.svg"
-    svgplot.line_plot(out, t, series, title, "t (fraction of the year)", ylabel)
+    svgplot.line_plot(out, col["t"], series, run_dir.name, "t (fraction of the year)", ylabel)
     return out

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import gain_cap
+from .params import _check_gains
 
 __all__ = [
     "step_euler",
     "step_rk4",
     "simulate",
+    "check_run",
     "Trajectory",
     "NonFiniteError",
     "OvershootError",
@@ -41,8 +42,6 @@ __all__ = [
 
 #: Largest tolerated pre-clamp excursion outside the state box.
 OVERSHOOT_LIMIT = 1e-6
-
-SCHEMES = ("euler", "rk4")
 
 
 class NonFiniteError(RuntimeError):
@@ -119,23 +118,31 @@ class Trajectory:
         return len(self.times)
 
 
-def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
+def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float) -> None:
+    """Reject a run whose span, step, scheme or gains no system can take:
+    finite ``t0 <= t1``, ``dt > 0``, a known scheme and the gain rule of
+    :mod:`anthobs.params`.  Raises ``ValueError`` with the first violation."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0={t0} and t1={t1} must be finite")
     if t1 < t0:
         raise ValueError(f"t1={t1} earlier than t0={t0}")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt={dt} must be > 0")
     if scheme not in _STEPPERS:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; pick one of {sorted(_STEPPERS)}")
+    violations = _check_gains(k1, k2, dt)
+    if violations:
+        raise ValueError(violations[0].message)
+
+
+def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
+    check_run(t0, t1, dt, scheme, system.p.k1, system.p.k2)
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     cfl = system.cfl_limit()
     if cfl is not None and dt > cfl:
         raise ValueError(
             f"dt={dt} violates the diffusion stability bound {cfl:.3e}; refuse to run")
-    cap = gain_cap(dt)
-    if system.max_gain() > cap:
-        raise ValueError(
-            f"gain {system.max_gain()} exceeds the stability cap 1/(10*dt)={cap}")
     return int(math.floor((t1 - t0) / dt + 1e-9))
 
 
@@ -148,8 +155,8 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     returns a :class:`Trajectory`.  ``clamp=False`` disables box clamping but
     still tracks (and enforces the limit on) pre-clamp overshoot.
 
-    Raises ``ValueError`` on an unstable diffusion step (CFL check) or on a
-    gain above the ``1/(10*dt)`` cap, :class:`NonFiniteError` on a non-finite
+    Raises ``ValueError`` on a run :func:`check_run` rejects or on an unstable
+    diffusion step (CFL check), :class:`NonFiniteError` on a non-finite
     derivative or state, :class:`OvershootError` when the box is left by more
     than ``OVERSHOOT_LIMIT``.
     """

@@ -17,7 +17,8 @@ from . import ode, pde
 from .params import ParameterSet, SpatialParameterSet
 from .stepping import cfl_step_limit
 
-__all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES", "check_inputs"]
+__all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES", "check_inputs",
+           "state_box"]
 
 MEASUREMENT_MODES = ("exact", "finite_difference")
 
@@ -25,14 +26,20 @@ MEASUREMENT_MODES = ("exact", "finite_difference")
 COMPONENTS = ("theta", "v", "rho", "theta_hat", "v_hat")
 
 
+def state_box(p: ParameterSet) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the invariant box, in ``COMPONENTS`` order:
+    the truth state (first three) then the observer state."""
+    return np.zeros(5), np.array([1.0, p.v_max, 1.0, 1.0, p.v_max])
+
+
 def check_inputs(p: ParameterSet, theta0: float, v0: float, rho0: float,
                  measurement_mode: str) -> None:
     """Reject an unknown measurement mode or an initial state outside the box."""
     if measurement_mode not in MEASUREMENT_MODES:
         raise ValueError(f"unknown measurement mode {measurement_mode!r}")
-    for name, x, hi in (("theta0", theta0, 1.0), ("v0", v0, p.v_max), ("rho0", rho0, 1.0)):
-        if not 0.0 <= x <= hi:
-            raise ValueError(f"initial state {name}={x} outside [0, {hi}]")
+    for name, x, lo, hi in zip(("theta0", "v0", "rho0"), (theta0, v0, rho0), *state_box(p)):
+        if not lo <= x <= hi:
+            raise ValueError(f"initial state {name}={x} outside [{lo:g}, {hi:g}]")
 
 
 class WithinHostSystem:
@@ -52,14 +59,11 @@ class WithinHostSystem:
         self.measurement_mode = measurement_mode
         self.truth0 = np.array([theta0, v0, rho0])
         self.observer0 = np.array([0.0, v0])
-        self.truth_bounds = (np.array([0.0, 0.0, 0.0]), np.array([1.0, p.v_max, 1.0]))
-        self.observer_bounds = (np.array([0.0, 0.0]), np.array([1.0, p.v_max]))
+        lo, hi = state_box(p)
+        self.truth_bounds, self.observer_bounds = (lo[:3], hi[:3]), (lo[3:], hi[3:])
 
     def cfl_limit(self):
         return None
-
-    def max_gain(self) -> float:
-        return max(self.p.k1, self.p.k2)
 
     # states and measurements are tuples of floats
 
@@ -107,14 +111,11 @@ class SpatialSystem:
         self.truth0 = np.stack([
             np.full(shape, theta0), np.full(shape, v0), np.full(shape, rho0)])
         self.observer0 = np.stack([np.zeros(shape), np.full(shape, v0)])
-        self.truth_bounds = (np.array([0.0, 0.0, 0.0]), np.array([1.0, p.v_max, 1.0]))
-        self.observer_bounds = (np.array([0.0, 0.0]), np.array([1.0, p.v_max]))
+        lo, hi = state_box(p)
+        self.truth_bounds, self.observer_bounds = (lo[:3], hi[:3]), (lo[3:], hi[3:])
 
     def cfl_limit(self) -> float:
         return cfl_step_limit(self.grid.h, self.grid.dim, self.sp.diffusivity)
-
-    def max_gain(self) -> float:
-        return max(self.sp.K1, self.sp.K2)
 
     def truth_rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         return np.stack(pde.spatial_model_rhs(

@@ -262,7 +262,7 @@ class TestValidate:
         assert any(v.key == "p2_mode" and v.hard for v in violations)
 
     def test_spatial_gain_cap(self, p):
-        sp_bad = SpatialParameterSet(base=p, K2=2e3)
+        sp_bad = SpatialParameterSet(base=replace(p, k2=2e3))
         assert any("gain cap" in v.message for v in validate_spatial(sp_bad))
 
     def test_negative_diffusivity(self, p):

@@ -214,7 +214,7 @@ class TestFoldedEquivalence:
 
     @staticmethod
     def _both(p, t, coef, truth, est, drho, k1, k2):
-        sp = SpatialParameterSet(base=p, diffusivity=0.0, K1=k1, K2=k2)
+        sp = SpatialParameterSet(base=replace(p, k1=k1, k2=k2), diffusivity=0.0)
         g = Grid(1, _N)
         d_model = spatial_model_rhs(t, ModelState(*truth), g, sp, coef)
         d_obs = spatial_observer_rhs(t, ObserverState(*est), Measurement(truth[1], truth[2], drho),

@@ -1,5 +1,6 @@
 """Configuration files, scenario matrix, artifacts, re-checks and the CLI."""
 
+import math
 import re
 import shutil
 import xml.etree.ElementTree as ET
@@ -8,12 +9,54 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anthobs import Grid, ParameterSet, SpatialParameterSet, SpatialSystem, WithinHostSystem
 from anthobs import runner, simulate, svgplot
 from anthobs.cli import main
 from anthobs.config import ConfigError, load_config_text, write_config
 from anthobs.fileio import write_atomic
+from anthobs.params import gain_cap
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def admissible_configs(draw):
+    """A parameter set, spatial set and scenario that the config loader admits."""
+    dt = draw(_floats(1e-5, 1e-2))
+    gain = _floats(0.0, gain_cap(dt))
+    p = ParameterSet(
+        **{k: draw(_floats(0.0, 50.0)) for k in ("b1", "b2", "b3", "omega1", "omega2",
+                                                  "kappa", "p1_const")},
+        **{k: draw(_floats(1e-3, 100.0)) for k in ("c1", "c2", "c3")},
+        **{k: draw(_floats(0.0, 1.0)) for k in ("d1", "d2", "d3", "phase1", "phase2")},
+        sigma=draw(_floats(0.01, 0.99)), epsilon=draw(_floats(0.0, 1e-2)),
+        eta_star=draw(st.one_of(st.none(), _floats(0.01, 0.99))),
+        eta_mode=draw(st.sampled_from(["constant", "seasonal"])),
+        v_max=draw(_floats(0.1, 10.0)), k1=draw(gain), k2=draw(gain),
+        p1_mode=draw(st.sampled_from(["zero", "constant"])),
+        p2_mode=draw(st.sampled_from(["linear", "quadratic"])),
+        dt=dt, seed=draw(st.integers(0, 2**31 - 1)))
+    point = st.lists(_floats(0.0, 1.0), min_size=1, max_size=3).map(tuple)
+    sp = SpatialParameterSet(
+        base=p, diffusivity=draw(_floats(0.0, 1.0)), anisotropy_scale=draw(_floats(0.0, 10.0)),
+        spatial_profile=draw(st.sampled_from(["radial", "uniform"])),
+        x0=draw(point), x1=draw(point), x2=draw(point), x3=draw(point))
+    model = draw(st.sampled_from(["ode", "pde"]))
+    theta0 = draw(_floats(0.0, 1.0))
+    t0 = draw(_floats(0.0, 1.0))
+    grid = {"dim": draw(st.sampled_from([1, 2])), "n": draw(st.integers(2, 64))}
+    s = runner.make_scenario(
+        p, model, theta0, draw(_floats(0.0, p.v_max)),
+        draw(_floats(0.0, theta0)) if model == "ode" else theta0, draw(gain), draw(gain),
+        measurement=draw(st.sampled_from(["exact", "finite_difference"])),
+        scheme=draw(st.sampled_from(["euler", "rk4"])), t0=t0,
+        t1=t0 + draw(_floats(0.0, 1.0)), **(grid if model == "pde" else {}))
+    return p, sp, s
 
 
 @pytest.fixture()
@@ -48,6 +91,26 @@ class TestConfig:
     def test_gain_cap_rejected(self):
         with pytest.raises(ConfigError, match="gain cap"):
             load_config_text("k1 = 10000\ndt = 1e-4\n")
+
+    @given(drawn=admissible_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_drawn(self, drawn):
+        p, sp, s = drawn
+        text = write_config(p, sp, [s])
+        cfg = load_config_text(text)
+        assert (cfg.params, cfg.spatial, cfg.scenarios) == (p, sp, [s])
+        # equal text means equal bits: repr tells -0.0 from 0.0
+        assert write_config(cfg.params, cfg.spatial, cfg.scenarios) == text
+
+    def test_spatial_gain_keys_unknown(self):
+        # the spatial observer uses the gains k1, k2 of the base set
+        with pytest.raises(ConfigError, match="line 2.*unknown key 'K1'"):
+            load_config_text("k1 = 0\nK1 = 500\n")
+
+    @pytest.mark.parametrize("item", ["k1=nan", "t1=inf", "t1=nan"])
+    def test_nonfinite_scenario_rejected_with_line(self, item):
+        with pytest.raises(ConfigError, match="line 2: invalid scenario"):
+            load_config_text(f"# two\nscenario = ode theta0=0.5 v0=0.5 rho0=0.25 {item}\n")
 
     def test_round_trip_exact(self):
         p = ParameterSet(sigma=0.85, k2=123.456789, epsilon=3e-5, seed=7,
@@ -140,6 +203,21 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="scheme"):
             runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0, scheme="leapfrog")
 
+    @pytest.mark.parametrize("k1,t1,message", [
+        (math.nan, 1.0, "k1=nan must be finite"),
+        (0.0, math.inf, "t1=inf must be finite"),
+        (0.0, math.nan, "t1=nan must be finite"),
+        (1e4, 1.0, "gain cap exceeded"),
+        (-1.0, 1.0, "k1=-1.0 must be finite and >= 0"),
+        (0.0, -1.0, "t1=-1.0 earlier than t0=0.0"),
+    ])
+    def test_same_run_rule_as_simulate(self, p, k1, t1, message):
+        # make_scenario admits exactly the runs simulate accepts
+        with pytest.raises(ValueError, match=re.escape(message)):
+            runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, k1, 0.0, t1=t1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(WithinHostSystem(replace(p, k1=k1), 0.5, 0.5, 0.25), 0.0, t1, p.dt)
+
 
 class TestVolumeSensitivity:
     def test_one_sided_quotient_at_box_edge(self, p):
@@ -210,6 +288,33 @@ class TestRunScenario:
         assert rec.status == "failed"
         assert "stability bound" in rec.error
 
+    def test_failed_rerun_leaves_only_record(self, p, tmp_path):
+        # same label, other spatial parameters: the earlier artifacts would
+        # describe a run that the record does not
+        s = runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, 0.0, 0.0, t1=0.01, dim=1, n=32)
+        assert runner.run_scenario(s, p, out_dir=tmp_path).status == "ok"
+        assert len(list((tmp_path / s.label).iterdir())) == 5
+        rec = runner.run_scenario(s, p, SpatialParameterSet(base=p, diffusivity=10.0),
+                                  out_dir=tmp_path)
+        assert rec.status == "failed"
+        assert [f.name for f in (tmp_path / s.label).iterdir()] == ["record.txt"]
+
+    def test_l2_err_column(self, p, tmp_path):
+        s = runner.make_scenario(p, "pde", 0.75, 0.5, 0.75, 0.0, 0.0, t1=0.05, dim=2, n=8)
+        rec = runner.run_scenario(s, p, out_dir=tmp_path)
+        header, data = runner._read_csv(Path(rec.out_dir) / "series.csv")
+        col = dict(zip(header, data.T))
+        assert header[header.index("abs_err_max") + 1] == "l2_err"
+        system = SpatialSystem(SpatialParameterSet(base=p), Grid(2, 8), 0.75, 0.5, 0.75)
+        traj = simulate(system, s.t0, s.t1, p.dt, record_stride=runner.RECORD_STRIDE)
+        e = traj.truth[:, 0] - traj.observer[:, 0]
+        direct = np.sqrt((e ** 2).mean(axis=(1, 2)))
+        np.testing.assert_allclose(col["l2_err"], direct, rtol=1e-8, atol=0)
+        # mean |e| <= sqrt(mean e^2) <= max |e|, up to the 9-digit rounding
+        assert np.all(col["abs_err_mean"] <= col["l2_err"] * (1 + 1e-8))
+        assert np.all(col["l2_err"] <= col["abs_err_max"] * (1 + 1e-8))
+        assert np.ptp(col["l2_err"] - col["abs_err_mean"]) > 0  # not the same column
+
     def test_condition_report_recorded(self, p, tmp_path, fast_scenarios):
         rec = runner.run_scenario(fast_scenarios[0], p, out_dir=tmp_path)
         assert "alpha_inf" in rec.condition
@@ -263,6 +368,46 @@ class TestSweepAndCheck:
         rec.write_text(text)
         assert runner.check_artifacts(tmp_path) != []
 
+    @staticmethod
+    def _edit_csv(csv: Path, column: str, line: int, edit) -> None:
+        """Replace one value of ``column`` on ``line`` (the header is line 0)."""
+        lines = csv.read_text().splitlines()
+        i = lines[0].split(",").index(column)
+        parts = lines[line].split(",")
+        parts[i] = edit(float(parts[i]))
+        lines[line] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+
+    def test_tampered_l2_verdict_detected(self, p, tmp_path, fast_scenarios):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[2:])
+        rec = next(tmp_path.glob("pde*/record.txt"))
+        text = rec.read_text()
+        assert "check_l2_envelope = pass" in text
+        rec.write_text(text.replace("check_l2_envelope = pass", "check_l2_envelope = fail"))
+        assert runner.check_artifacts(tmp_path) == [
+            f"{rec.parent}: check l2_envelope recomputes to 'pass' but record says 'fail'"]
+
+    def test_tampered_l2_value_detected(self, p, tmp_path, fast_scenarios):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[2:])
+        csv = next(tmp_path.glob("pde*/series.csv"))
+        original = csv.read_text()
+        # the last sample above its envelope: the replayed bound flips
+        self._edit_csv(csv, "l2_err", -1, lambda x: "0.6")
+        assert f"{csv.parent}: check l2_envelope recomputes to 'fail' but record says 'pass'" \
+            in runner.check_artifacts(tmp_path)
+        # a sample moved out of mean |e| <= l2 <= max |e| by more than the
+        # 9-digit slack (1e-7) is caught; moved by less, it passes as rounding
+        header, data = runner._read_csv(csv)
+        col = dict(zip(header, data.T))
+        unordered = f"{csv.parent}: columns abs_err_min, abs_err_mean, l2_err, abs_err_max not ordered"
+        for bound, shift, problems in (("abs_err_max", 2e-7, [unordered]),
+                                       ("abs_err_mean", -2e-7, [unordered]),
+                                       ("abs_err_max", 5e-8, []),
+                                       ("abs_err_mean", -5e-8, [])):
+            csv.write_text(original)
+            self._edit_csv(csv, "l2_err", 4, lambda x: f"{col[bound][3] + shift:.9g}")
+            assert runner.check_artifacts(tmp_path) == problems
+
     def test_missing_dir(self):
         assert runner.check_artifacts("/nonexistent/place") != []
 
@@ -314,6 +459,34 @@ class TestSweepAndCheck:
             f"{manifest}:2: malformed line 'stray', expected 'label status'"]
         assert main(["check", str(tmp_path)]) == 1
         assert "malformed line" in capsys.readouterr().err
+
+    def test_damaged_directories_reported_and_checking_goes_on(
+            self, p, tmp_path, fast_scenarios, capsys):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios)
+        ode_a, ode_b, spatial = (tmp_path / s.label for s in fast_scenarios)
+        # a snapshot from before the spatial gain keys were removed
+        cfg = spatial / "config.txt"
+        cfg.write_text(cfg.read_text() + "K1 = 0.0\n")
+        (ode_a / "series.csv").write_text("t,theta\n0.0,oops\n")
+        rec = ode_b / "record.txt"
+        rec.write_text(rec.read_text().replace("check_exact_law = n/a", "check_exact_law = pass"))
+        problems = runner.check_artifacts(tmp_path)
+        assert len(problems) == 3
+        assert problems[0].startswith(f"{ode_a}: unparsable series.csv: ")
+        assert problems[1] == (f"{ode_b}: check exact_law recomputes to 'n/a'"
+                               " but record says 'pass'")
+        assert re.fullmatch(rf"{re.escape(str(spatial))}: config\.txt: line \d+: unknown key 'K1'",
+                            problems[2])
+        assert main(["check", str(tmp_path)]) == 1
+        assert "3 problem(s) found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "t,theta\n", "t,theta\n0.0,0.5\n0.1\n"])
+    def test_empty_or_ragged_csv_reported(self, p, tmp_path, fast_scenarios, text):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
+        csv = next(tmp_path.glob("*/series.csv"))
+        csv.write_text(text)
+        (problem,) = runner.check_artifacts(tmp_path)
+        assert problem.startswith(f"{csv.parent}: ")
 
     def test_missing_ok_scenario_detected(self, p, tmp_path, fast_scenarios):
         runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:2])
@@ -451,6 +624,23 @@ class TestCli:
         (d / "estimate.svg").unlink()
         assert main(["plot", str(d)]) == 0
         assert (d / "estimate.svg").exists()
+
+    def test_plot_walks_the_directories_check_walks(self, p, tmp_path, fast_scenarios, capsys):
+        # the layout of `anthobs run` with a sweep line: <out>/<kind>/<label>/
+        runner.sweep("custom", p, out_dir=tmp_path / "paper-ode", scenarios=fast_scenarios)
+        svgs = sorted(tmp_path.glob("paper-ode/*/*.svg"))
+        assert len(svgs) == 2 * len(fast_scenarios)
+        for svg in svgs:
+            svg.unlink()
+        assert main(["check", str(tmp_path)]) == 0
+        assert main(["plot", str(tmp_path)]) == 0
+        assert sorted(tmp_path.glob("paper-ode/*/*.svg")) == svgs
+        assert runner.scenario_dirs(tmp_path) == sorted(
+            tmp_path / "paper-ode" / s.label for s in fast_scenarios)
+
+    def test_plot_without_artifacts(self, tmp_path, capsys):
+        assert main(["plot", str(tmp_path)]) == 2
+        assert "no artifacts" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "/does/not/exist.cfg"]) == 2
