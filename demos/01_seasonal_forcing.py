@@ -20,11 +20,12 @@ from anthobs.svgplot import line_plot
 p = ParameterSet()
 t = np.linspace(0.0, 1.0, 1001)
 
-u = F.control_series(t, p)
-w = F.inhibition_weight_series(t, p)
-alpha = F.inhibition_forcing_series(t, p)
-beta_clean = np.array([F.growth_forcing(x, 0.0, p) for x in t])
-beta_sick = np.array([F.growth_forcing(x, 0.9, p) for x in t])
+# every forcing takes one time or, as here, an array of times
+u = F.control(t, p)
+w = F.inhibition_weight(t, p)
+alpha = F.inhibition_forcing(t, p)
+beta_clean = F.growth_forcing(t, 0.0, p)
+beta_sick = F.growth_forcing(t, 0.9, p)
 
 print("Control signal u(t): treatment burst centred near t=0.4-0.6")
 print(f"  max u = {u.max():.4f} at t = {t[u.argmax()]:.3f}")

@@ -1,10 +1,11 @@
 """Time- and space-dependent forcing functions, control signal and profiles.
 
-Scalar evaluators (``control``, ``inhibition_forcing``, ...) are plain
-``math``-based functions: they sit on the hot path of the fixed-step
-integrator, where one evaluation per step matters.  ``*_series`` variants
-evaluate the same formulas on numpy arrays for quadrature and diagnostics;
-they are tested to agree with the scalar forms to machine precision.
+Each time function (``control``, ``inhibition_forcing``, ...) takes a float
+time, on ``math`` for the integrator's per-step calls, or an array of times,
+on numpy for quadrature and diagnostics.  ``math`` raising ``TypeError`` on
+an array picks numpy: unlike a type test in every call, this costs the float
+path nothing.  State arguments broadcast against the time; a value that
+does not depend on time stays a float.
 
 Every function here is pure: no global state, safe for concurrent use.
 """
@@ -27,30 +28,44 @@ __all__ = [
     "rot_forcing",
     "volume_capacity",
     "seasonal",
-    "control_series",
-    "inhibition_weight_series",
-    "inhibition_forcing_series",
+    "first_offender",
     "anisotropy_matrix",
     "radial_squared",
     "spatial_weight",
 ]
 
+#: A time, a state component or a forcing value: a float, or an array of
+#: values that broadcast against each other.
+Value = float | np.ndarray
+
+
+def first_offender(bad, *values) -> list[float]:
+    """Each of ``values`` at the first set element of the boolean ``bad``,
+    which they broadcast against; names one offending sample in an error
+    message whether the arguments are floats or arrays."""
+    index = np.unravel_index(np.argmax(bad), np.shape(bad))
+    return [float(np.broadcast_to(v, np.shape(bad))[index]) for v in values]
+
 
 # ---------------------------------------------------------------------------
-# scalar time functions
+# time functions: a float time on math, an array of times on numpy
 # ---------------------------------------------------------------------------
 
-def control(t: float, p: ParameterSet) -> float:
+def control(t: Value, p: ParameterSet) -> Value:
     """Fungicide control signal ``u(t) = sin^2(w1*(t-ph1)^2) * exp(-w2*(t-ph2)^2)``.
 
     Always in ``[0, 1]``: a burst of treatments around ``phase1`` damped by a
     Gaussian window centred at ``phase2``.
     """
-    s = math.sin(p.omega1 * (t - p.phase1) ** 2)
-    return s * s * math.exp(-p.omega2 * (t - p.phase2) ** 2)
+    x, y = p.omega1 * (t - p.phase1) ** 2, -p.omega2 * (t - p.phase2) ** 2
+    try:
+        s, e = math.sin(x), math.exp(y)
+    except TypeError:  # an array of times
+        s, e = np.sin(x), np.exp(y)
+    return s * s * e
 
 
-def inhibition_weight(t: float, p: ParameterSet) -> float:
+def inhibition_weight(t: Value, p: ParameterSet) -> Value:
     """Control weight ``w(t) = 1/(1 - sigma*u(t))`` in the inhibition dynamics.
 
     Under treatment the inhibition rate relaxes towards ``1/w <= 1`` instead
@@ -58,36 +73,43 @@ def inhibition_weight(t: float, p: ParameterSet) -> float:
     configuration; impossible for ``sigma < 1`` since ``u <= 1``).
     """
     den = 1.0 - p.sigma * control(t, p)
-    if den <= 0.0:
-        raise ValueError(f"sigma*u(t) >= 1 at t={t}: control weight is singular")
+    bad = den <= 0.0
+    if bad is not False and np.any(bad):  # a float time tests one bool
+        raise ValueError(f"sigma*u(t) >= 1 at t={first_offender(bad, t)[0]}:"
+                         " control weight is singular")
     return 1.0 / den
 
 
-def seasonal(t: float, b: float, c: float, d: float) -> float:
+def seasonal(t: Value, b: float, c: float, d: float) -> Value:
     """Seasonal shape ``b*(1 - cos(c*t))*(t - d)^2`` common to all forcings."""
-    return b * (1.0 - math.cos(c * t)) * (t - d) ** 2
+    x = c * t
+    try:
+        cos = math.cos(x)
+    except TypeError:  # an array of times
+        cos = np.cos(x)
+    return b * (1.0 - cos) * (t - d) ** 2
 
 
-def baseline_forcing(t: float, p: ParameterSet) -> float:
+def baseline_forcing(t: Value, p: ParameterSet) -> float:
     """Baseline term ``p1(t)`` of the inhibition forcing (zero by default)."""
     if p.p1_mode == "constant":
         return p.p1_const
     return 0.0
 
 
-def inhibition_forcing(t: float, p: ParameterSet) -> float:
+def inhibition_forcing(t: Value, p: ParameterSet) -> Value:
     """Inhibition-rate forcing ``p1(t) + b1*(1 - cos(c1*t))*(t - d1)^2``."""
     return baseline_forcing(t, p) + seasonal(t, p.b1, p.c1, p.d1)
 
 
-def growth_profile(theta: float, p: ParameterSet) -> float:
+def growth_profile(theta: Value, p: ParameterSet) -> Value:
     """Profile ``p2`` shaping how inhibition suppresses berry growth."""
     if p.p2_mode == "quadratic":
         return (2.0 - theta) ** 2
     return 2.0 - theta
 
 
-def growth_forcing(t: float, theta: float, p: ParameterSet) -> float:
+def growth_forcing(t: Value, theta: Value, p: ParameterSet) -> Value:
     """Berry-growth forcing ``b2*(1 - cos(c2*t))*(t - d2)^2 * p2(theta)``.
 
     Nonincreasing in ``theta`` for both profiles on ``[0, 1]``.
@@ -95,7 +117,7 @@ def growth_forcing(t: float, theta: float, p: ParameterSet) -> float:
     return seasonal(t, p.b2, p.c2, p.d2) * growth_profile(theta, p)
 
 
-def rot_forcing(t: float, theta: float, v: float, rho: float, p: ParameterSet) -> float:
+def rot_forcing(t: Value, theta: Value, v: Value, rho: Value, p: ParameterSet) -> Value:
     """Rot-proportion forcing ``b3*(1 - cos(c3*t))*(t - d3)^2*(theta - kappa*rho)*v``.
 
     Vanishes exactly when ``v = 0`` (no berry, no rot) and when
@@ -104,7 +126,7 @@ def rot_forcing(t: float, theta: float, v: float, rho: float, p: ParameterSet) -
     return seasonal(t, p.b3, p.c3, p.d3) * (theta - p.kappa * rho) * v
 
 
-def volume_capacity(t: float, p: ParameterSet) -> float:
+def volume_capacity(t: Value, p: ParameterSet) -> Value:
     """Environmental capacity factor ``eta(t)`` limiting the maximal volume.
 
     ``constant`` mode is the reference choice ``1/(1 + epsilon)``; the
@@ -113,34 +135,13 @@ def volume_capacity(t: float, p: ParameterSet) -> float:
     """
     hi = 1.0 / (1.0 + p.epsilon)
     if p.eta_mode == "seasonal":
-        return p.eta_star + (hi - p.eta_star) * 0.5 * (1.0 + math.cos(2.0 * math.pi * t))
+        x = 2.0 * math.pi * t
+        try:
+            cos = math.cos(x)
+        except TypeError:  # an array of times
+            cos = np.cos(x)
+        return p.eta_star + (hi - p.eta_star) * 0.5 * (1.0 + cos)
     return hi
-
-
-# ---------------------------------------------------------------------------
-# vectorised twins (quadrature / diagnostics)
-# ---------------------------------------------------------------------------
-
-def control_series(t: np.ndarray, p: ParameterSet) -> np.ndarray:
-    """``control`` evaluated elementwise on an array of times."""
-    t = np.asarray(t, dtype=float)
-    s = np.sin(p.omega1 * (t - p.phase1) ** 2)
-    return s * s * np.exp(-p.omega2 * (t - p.phase2) ** 2)
-
-
-def inhibition_weight_series(t: np.ndarray, p: ParameterSet) -> np.ndarray:
-    """``inhibition_weight`` evaluated elementwise on an array of times."""
-    den = 1.0 - p.sigma * control_series(t, p)
-    if np.any(den <= 0.0):
-        raise ValueError("sigma*u(t) >= 1 somewhere: control weight is singular")
-    return 1.0 / den
-
-
-def inhibition_forcing_series(t: np.ndarray, p: ParameterSet) -> np.ndarray:
-    """``inhibition_forcing`` evaluated elementwise on an array of times."""
-    t = np.asarray(t, dtype=float)
-    base = p.p1_const if p.p1_mode == "constant" else 0.0
-    return base + p.b1 * (1.0 - np.cos(p.c1 * t)) * (t - p.d1) ** 2
 
 
 # ---------------------------------------------------------------------------

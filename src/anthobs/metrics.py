@@ -136,8 +136,7 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float,
     hi = edges[1:][:, None]
     frac = np.linspace(0.0, 1.0, 2 * m + 1)[None, :]
     nodes = lo + (hi - lo) * frac
-    vals = (forcing.inhibition_forcing_series(nodes, p)
-            * forcing.inhibition_weight_series(nodes, p))
+    vals = forcing.inhibition_forcing(nodes, p) * forcing.inhibition_weight(nodes, p)
     weights = np.ones(2 * m + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -13,8 +13,9 @@ correction uses three terms:
 * a growth-saturation term that steers the volume estimate towards its
   logistic equilibrium.
 
-The state tuples hold floats here and fields in :mod:`anthobs.pde`; the
-``*_field`` corrections and the condition diagnostics serve both models.
+The state tuples hold floats here and fields in :mod:`anthobs.pde`;
+``growth_saturation``, the ``*_field`` corrections and the condition
+diagnostics serve both models.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import forcing
+from .forcing import Value
 from .params import ParameterSet
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "make_measurement",
     "phi1_field",
     "phi2_field",
-    "phi3_field",
     "condition_report",
     "check_conditions",
     "ConditionReport",
@@ -48,11 +49,6 @@ __all__ = [
 
 #: Denominators smaller than this are treated as singular in diagnostics.
 SINGULAR_TOL = 1e-9
-
-
-#: A state or measurement component: a float (within-host model) or a field
-#: of one grid shape (spatial model).
-Value = float | np.ndarray
 
 
 class ModelState(NamedTuple):
@@ -128,16 +124,18 @@ def rot_innovation(t: float, theta_hat: float, m: Measurement,
     return 0.0
 
 
-def growth_saturation(t: float, theta_hat: float, v_hat: float,
-                      p: ParameterSet) -> float:
+def growth_saturation(t: Value, theta_hat: Value, v_hat: Value,
+                      p: ParameterSet) -> Value:
     """Logistic saturation ``1 - v_hat/((1+eps-theta_hat)*eta(t)*v_max)``.
 
-    Zero exactly at the volume equilibrium; raises ``ValueError`` when
-    ``1 + epsilon - theta_hat <= 0``.
+    Zero exactly at the volume equilibrium, on floats or fields; raises
+    ``ValueError`` naming the first sample where ``1 + epsilon - theta_hat <= 0``.
     """
     cap = 1.0 + p.epsilon - theta_hat
-    if cap <= 0.0:
-        raise ValueError(f"1+epsilon-theta_hat={cap} <= 0 at t={t}")
+    bad = cap <= 0.0
+    if bad is not False and np.any(bad):  # float states test one bool
+        t_bad, cap_bad = forcing.first_offender(bad, t, cap)
+        raise ValueError(f"1+epsilon-theta_hat={cap_bad} <= 0 at t={t_bad}")
     return 1.0 - v_hat / (cap * forcing.volume_capacity(t, p) * p.v_max)
 
 
@@ -198,15 +196,6 @@ def phi2_field(theta_hat: np.ndarray, drho_meas: np.ndarray,
     return np.where(interior_indicator(theta_hat), drho_meas - predicted, 0.0)
 
 
-def phi3_field(t: float, theta_hat: np.ndarray, v_hat: np.ndarray,
-               p: ParameterSet) -> np.ndarray:
-    """:func:`growth_saturation` on arrays."""
-    cap = 1.0 + p.epsilon - theta_hat
-    if np.any(cap <= 0.0):
-        raise ValueError(f"1+epsilon-theta_hat <= 0 somewhere at t={t}")
-    return 1.0 - v_hat / (cap * forcing.volume_capacity(t, p) * p.v_max)
-
-
 # ---------------------------------------------------------------------------
 # convergence-condition diagnostics
 # ---------------------------------------------------------------------------
@@ -247,7 +236,8 @@ def condition_report(batches, p: ParameterSet, notes: list[str]) -> ConditionRep
     broadcasts: its times, inhibition forcing, control weight, true rate, rot
     forcing at ``theta`` and at ``theta_hat`` (with the measured ``v, rho``),
     observer state, measurement, stability factor ``R`` (``None``: not
-    evaluable when ``k1 > 0``) and the samples excluded as singular.
+    evaluable when ``k1 > 0``) and the samples excluded as singular.  A batch
+    holds any number of records, with the times on the leading axis.
     """
     k1, k2 = p.k1, p.k2
     infima: dict[str, list] = {key: [] for key in ("alpha", "coer", "s1", "s2", "dom")}
@@ -300,9 +290,10 @@ def check_conditions(traj, p: ParameterSet) -> ConditionReport:
     """Evaluate the convergence-condition diagnostics along a trajectory.
 
     ``traj`` is a recorded :class:`~anthobs.stepping.Trajectory` of the
-    coupled within-host system; all records are evaluated in one batch.
-    Samples where the stability fraction is singular and ``k1*delta != 0``
-    are excluded and counted; non-evaluable samples are never fatal.
+    coupled within-host system; all records are evaluated in one batch, each
+    forcing called once on the array of recorded times.  Samples where the
+    stability fraction is singular and ``k1*delta != 0`` are excluded and
+    counted; non-evaluable samples are never fatal.
     """
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
@@ -310,19 +301,18 @@ def check_conditions(traj, p: ParameterSet) -> ConditionReport:
     theta, v, _ = traj.truth.T
     o = ObserverState(*traj.observer.T)
     m = Measurement(*traj.measurements.T)
-    alpha = forcing.inhibition_forcing_series(t, p)
-    w = forcing.inhibition_weight_series(t, p)
-    rot = np.vectorize(forcing.rot_forcing)
+    alpha = forcing.inhibition_forcing(t, p)
+    w = forcing.inhibition_weight(t, p)
     ratio, excluded = None, False
     if p.k1 != 0.0:
         # R = 1 + frac, frac singular where v, 1 - theta*w or alpha vanishes
-        eta = np.vectorize(forcing.volume_capacity)(t, p)
-        num = np.vectorize(forcing.growth_forcing)(t, theta, p) * (
+        eta = forcing.volume_capacity(t, p)
+        num = forcing.growth_forcing(t, theta, p) * (
             eta * p.v_max * (1.0 + p.epsilon - theta) - v)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = 1.0 + num / (alpha * eta * v * p.v_max * (1.0 - theta * w))
         excluded = interior_indicator(o.theta_hat) & (
             (v < SINGULAR_TOL) | (np.abs(1.0 - theta * w) < SINGULAR_TOL) | (alpha < SINGULAR_TOL))
-    batch = (t, alpha, w, theta, rot(t, theta, m.v, m.rho, p), rot(t, o.theta_hat, m.v, m.rho, p),
-             o, m, ratio, excluded)
+    batch = (t, alpha, w, theta, forcing.rot_forcing(t, theta, m.v, m.rho, p),
+             forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p), o, m, ratio, excluded)
     return condition_report([batch], p, [])

@@ -200,24 +200,15 @@ def validate(p: ParameterSet) -> list[Violation]:
     _check_selector(out, "p1_mode", p.p1_mode, P1_MODES)
     _check_selector(out, "p2_mode", p.p2_mode, P2_MODES)
     _check_selector(out, "eta_mode", p.eta_mode, ETA_MODES)
-    # eta(t) must stay inside [eta_star, 1/(1+epsilon)] over the year
-    if p.eta_mode in ETA_MODES and p.epsilon >= 0.0:
-        from . import forcing  # local import: forcing depends on this module
-
-        hi = 1.0 / (1.0 + p.epsilon)
-        bad = None
-        for i in range(0, 1001):
-            t = i / 1000.0
-            eta = forcing.volume_capacity(t, p)
-            if not (p.eta_star - 1e-12 <= eta <= hi + 1e-12):
-                bad = (t, eta)
-                break
-        if bad is not None:
-            out.append(Violation(
-                "eta_mode",
-                f"eta({bad[0]})={bad[1]} escapes [eta_star, 1/(1+epsilon)]"
-                f" = [{p.eta_star}, {hi}]",
-            ))
+    # both eta modes take values in [min, max] of {eta_star, 1/(1+epsilon)}, so
+    # eta(t) stays inside its band [eta_star, 1/(1+epsilon)] iff the band is
+    # not empty
+    if p.epsilon >= 0.0 and p.eta_star > 1.0 / (1.0 + p.epsilon):
+        out.append(Violation(
+            "eta_mode",
+            f"eta(t) escapes [eta_star, 1/(1+epsilon)]: eta_star={p.eta_star}"
+            f" > 1/(1+epsilon)={1.0 / (1.0 + p.epsilon)}",
+        ))
     return out
 
 

@@ -34,6 +34,10 @@ __all__ = [
     "check_conditions_spatial",
 ]
 
+#: Samples (records x cells) per block of the spatial condition diagnostics;
+#: each block temporary takes 256 KiB.
+BLOCK_SAMPLES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -115,21 +119,22 @@ def spatial_coefficients(grid: Grid, sp: SpatialParameterSet) -> SpatialCoeffici
     return SpatialCoefficients(qs[0], qs[1], qs[2], u_space)
 
 
-def inhibition_forcing_field(t: float, coef: SpatialCoefficients,
+def inhibition_forcing_field(t: forcing.Value, coef: SpatialCoefficients,
                              p: ParameterSet) -> np.ndarray:
     """Inhibition forcing ``alpha(t, x) = p1(t) + q1(x)*b1*(1 - cos(c1*t))*(t - d1)^2``."""
     return forcing.baseline_forcing(t, p) + coef.q1 * forcing.seasonal(t, p.b1, p.c1, p.d1)
 
 
-def _weight_field(t: float, coef: SpatialCoefficients, p: ParameterSet) -> np.ndarray:
+def _weight_field(t: forcing.Value, coef: SpatialCoefficients, p: ParameterSet) -> np.ndarray:
     u = coef.u_space * forcing.control(t, p)
     den = 1.0 - p.sigma * u
-    if np.any(den <= 0.0):
-        raise ValueError(f"sigma*u(t,x) >= 1 somewhere at t={t}")
+    bad = den <= 0.0
+    if np.any(bad):
+        raise ValueError(f"sigma*u(t,x) >= 1 somewhere at t={forcing.first_offender(bad, t)[0]}")
     return 1.0 / den
 
 
-def rot_rate(t: float, s: ode.ModelState, coef: SpatialCoefficients,
+def rot_rate(t: forcing.Value, s: ode.ModelState, coef: SpatialCoefficients,
              p: ParameterSet) -> np.ndarray:
     """Rot-proportion rate field ``q3 * rot_forcing * (1 - rho)``."""
     return coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
@@ -169,7 +174,7 @@ def spatial_observer_rhs(t: float, o: ode.ObserverState, m: ode.Measurement, gri
         + p.k2 * ode.phi2_field(o.theta_hat, m.drho_dt, predicted)
         + laplacian_neumann(o.theta_hat, grid, sp.diffusivity)
     )
-    dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * ode.phi3_field(
+    dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * ode.growth_saturation(
         t, o.theta_hat, o.v_hat, p)
     return dtheta, dv
 
@@ -193,6 +198,8 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
     where ``S = sensitivity[i]`` is ``d v / d theta(0)`` at record ``i``, from
     paired truth runs; cells with ``v`` below tolerance are excluded and
     counted.  Without ``sensitivity`` the stability infima are ``None``.
+    Each forcing is called once per block of ``BLOCK_SAMPLES`` samples, on the
+    block's times shaped to broadcast against its fields.
     """
     p = sp.base
     if len(traj.times) == 0:
@@ -202,16 +209,19 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
         notes.append(
             "stability expressions skipped: k1 > 0 needs the paired-run"
             " volume sensitivity estimate")
+    block = max(1, BLOCK_SAMPLES // traj.truth[0, 0].size)
 
     def batches():
-        for i, t in enumerate(traj.times.tolist()):
-            theta, v, _ = traj.truth[i]
-            o = ode.ObserverState(*traj.observer[i])
-            m = ode.Measurement(*traj.measurements[i])
+        for lo in range(0, len(traj.times), block):
+            rec = slice(lo, lo + block)
+            t = traj.times[rec].reshape(-1, *(1,) * (traj.truth.ndim - 2))
+            theta, v, _ = np.moveaxis(traj.truth[rec], 1, 0)
+            o = ode.ObserverState(*np.moveaxis(traj.observer[rec], 1, 0))
+            m = ode.Measurement(*np.moveaxis(traj.measurements[rec], 1, 0))
             ratio, excluded = None, False
             if p.k1 > 0.0 and sensitivity is not None:
                 excluded = v < ode.SINGULAR_TOL
-                ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[i]) / np.where(excluded, 1.0, v)
+                ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[rec]) / np.where(excluded, 1.0, v)
             yield (t, inhibition_forcing_field(t, coef, p), _weight_field(t, coef, p), theta,
                    coef.q3 * forcing.rot_forcing(t, theta, m.v, m.rho, p),
                    coef.q3 * forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p),

@@ -141,13 +141,13 @@ def scenario_matrix(kind: str, p: ParameterSet | None = None) -> list[Scenario]:
     """
     p = p or ParameterSet()
     out: list[Scenario] = []
-    if kind in ("paper-ode", "paper_ode"):
+    if kind == "paper-ode":
         for theta0, v0 in FIGURE_PAIRS:
             rho0s = [r for r in RHO0_GRID if r <= theta0] or [theta0]
             for rho0 in rho0s:
                 for k1, k2 in GAIN_PAIRS:
                     out.append(make_scenario(p, "ode", theta0, v0, rho0, k1, k2))
-    elif kind in ("paper-pde", "paper_pde"):
+    elif kind == "paper-pde":
         for theta0, v0 in FIGURE_PAIRS:
             for k1, k2 in GAIN_PAIRS:
                 out.append(make_scenario(p, "pde", theta0, v0, theta0, k1, k2))
@@ -493,8 +493,13 @@ def _check_one_dir(directory: Path) -> list[str]:
             if any(np.any(col[a] > col[b] + nine_digit_slack) for a, b in zip(chain, chain[1:])):
                 problems.append(f"{directory}: columns {', '.join(chain)} not ordered")
 
-    alpha_inf = float(rec.get("cond_alpha_inf") or 0.0)
-    checks, *finals = _verdicts(s, p, col, alpha_inf, nine_digit_slack)
+    numbers = {}
+    for key in ("cond_alpha_inf", "final_abs_err", "final_rel_err"):
+        try:
+            numbers[key] = float(rec[key]) if key in rec else None
+        except ValueError:
+            return problems + [f"{directory}: {rec_path.name}: {key} = {rec[key]!r} is not a number"]
+    checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"] or 0.0, nine_digit_slack)
     for name, verdict in checks.items():
         recorded = rec.get(f"check_{name}")
         if recorded != verdict:
@@ -502,8 +507,8 @@ def _check_one_dir(directory: Path) -> list[str]:
                 f"{directory}: check {name} recomputes to {verdict!r}"
                 f" but record says {recorded!r}")
     for name, fresh in zip(("final_abs_err", "final_rel_err"), finals):
-        recorded = rec.get(name)
-        if recorded is None or abs(float(recorded) - fresh) > nine_digit_slack:
+        recorded = numbers[name]
+        if recorded is None or not abs(recorded - fresh) <= nine_digit_slack:
             problems.append(f"{directory}: {name} does not match the CSV")
     return problems
 

@@ -101,16 +101,16 @@ class Trajectory:
 
     ``truth`` has shape ``(n_records, 3[, *grid])`` holding
     ``(theta, v, rho)``; ``observer`` has shape ``(n_records, 2[, *grid])``
-    holding ``(theta_hat, v_hat)`` (``None`` for truth-only runs);
-    ``measurements`` holds ``(v, rho, drho_dt)`` as consumed by the observer
-    at each recorded time.  ``overshoot`` maps component names to the largest
+    holding ``(theta_hat, v_hat)``; ``measurements`` holds ``(v, rho, drho_dt)``
+    as consumed by the observer at each recorded time; both are ``None`` for
+    truth-only runs.  ``overshoot`` maps component names to the largest
     pre-clamp excursion outside the box seen anywhere in the run.
     """
 
     times: np.ndarray
     truth: np.ndarray
     observer: np.ndarray | None
-    measurements: np.ndarray
+    measurements: np.ndarray | None
     overshoot: dict[str, float]
     meta: dict = field(default_factory=dict)
 
@@ -179,20 +179,22 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     n_rec = n_steps // record_stride + 1
     times = np.empty(n_rec)
     truth_rec = np.empty((n_rec, *np.shape(truth)))
+    # no observer reads the measurement of a truth-only run: none is taken
     obs_rec = None if truth_only else np.empty((n_rec, *np.shape(obs)))
-    meas_rec = np.empty_like(truth_rec)
+    meas_rec = None if truth_only else np.empty_like(truth_rec)
     max_over = [0.0] * len(names)
     prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
-        m = measure(t, truth, prev)
+        if obs is not None:
+            m = measure(t, truth, prev)
         if k % record_stride == 0:
             i = k // record_stride
             times[i] = t
             truth_rec[i] = truth
             if obs is not None:
                 obs_rec[i] = obs
-            meas_rec[i] = m
+                meas_rec[i] = m
         if k == n_steps:
             break
 

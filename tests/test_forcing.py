@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from anthobs import Grid, ParameterSet, SpatialParameterSet, validate, validate_spatial
 from anthobs import forcing as F
+from anthobs import ode
 from anthobs.pde import spatial_coefficients
 
 times = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -34,7 +35,7 @@ class TestControl:
 
     def test_series_matches_scalar(self, p):
         ts = np.linspace(0.0, 1.0, 257)
-        series = F.control_series(ts, p)
+        series = F.control(ts, p)
         scalar = np.array([F.control(float(t), p) for t in ts])
         # vectorised transcendentals may differ from libm by one ulp
         np.testing.assert_allclose(series, scalar, rtol=1e-14, atol=1e-16)
@@ -71,7 +72,7 @@ class TestInhibitionWeight:
 
     def test_series_matches_scalar(self, p):
         ts = np.linspace(0.0, 1.0, 257)
-        series = F.inhibition_weight_series(ts, p)
+        series = F.inhibition_weight(ts, p)
         scalar = np.array([F.inhibition_weight(float(t), p) for t in ts])
         np.testing.assert_allclose(series, scalar, rtol=1e-14)
 
@@ -99,7 +100,7 @@ class TestInhibitionForcing:
 
     def test_series_matches_scalar(self, p):
         ts = np.linspace(0.0, 1.0, 257)
-        series = F.inhibition_forcing_series(ts, p)
+        series = F.inhibition_forcing(ts, p)
         scalar = np.array([F.inhibition_forcing(float(t), p) for t in ts])
         np.testing.assert_allclose(series, scalar, rtol=1e-14, atol=1e-18)
 
@@ -167,6 +168,50 @@ class TestVolumeCapacity:
         q = ParameterSet(eta_mode="seasonal", eta_star=0.8)
         eta = F.volume_capacity(t, q)
         assert q.eta_star - 1e-12 <= eta <= 1.0 / (1.0 + q.epsilon) + 1e-12
+
+
+class TestArrayTimes:
+    """Every time function takes one float time or an array of times."""
+
+    samples = st.lists(st.tuples(times, unit, unit, unit, unit, unit), min_size=1, max_size=16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=samples, eta_mode=st.sampled_from(["constant", "seasonal"]),
+           eta_star=st.floats(min_value=0.05, max_value=0.99),
+           p1_mode=st.sampled_from(["zero", "constant"]),
+           p1_const=st.floats(min_value=0.0, max_value=5.0),
+           p2_mode=st.sampled_from(["linear", "quadratic"]))
+    def test_array_matches_float(self, p, rows, eta_mode, eta_star, p1_mode, p1_const,
+                                 p2_mode):
+        q = replace(p, eta_mode=eta_mode, eta_star=eta_star, p1_mode=p1_mode,
+                    p1_const=p1_const, p2_mode=p2_mode)
+        # each function of a sample (t, theta, v, rho, theta_hat, v_hat)
+        functions = {
+            "control": lambda t, *_: F.control(t, q),
+            "inhibition_weight": lambda t, *_: F.inhibition_weight(t, q),
+            "seasonal": lambda t, *_: F.seasonal(t, q.b3, q.c3, q.d3),
+            "inhibition_forcing": lambda t, *_: F.inhibition_forcing(t, q),
+            "growth_forcing": lambda t, theta, *_: F.growth_forcing(t, theta, q),
+            "rot_forcing": lambda t, theta, v, rho, *_: F.rot_forcing(t, theta, v, rho, q),
+            "volume_capacity": lambda t, *_: F.volume_capacity(t, q),
+            "growth_saturation": lambda t, _th, _v, _rho, theta_hat, v_hat:
+                ode.growth_saturation(t, theta_hat, v_hat, q),
+        }
+        columns = np.array(rows).T
+        for name, f in functions.items():
+            on_array = np.broadcast_to(f(*columns), len(rows))
+            by_float = [f(*row) for row in rows]
+            assert all(isinstance(x, float) for x in by_float), name
+            # numpy's exp may differ from libm by one ulp; absolute floor for
+            # values that cancel to zero, such as the seasonal shape at its roots
+            np.testing.assert_allclose(on_array, by_float, rtol=1e-14, atol=1e-15,
+                                       err_msg=name)
+
+    def test_singular_array_names_first_offending_time(self):
+        q = ParameterSet(omega1=math.pi / 2, omega2=0.0, phase1=0.0, phase2=0.0,
+                         sigma=1.0)
+        with pytest.raises(ValueError, match=r"at t=1\.0:"):
+            F.inhibition_weight(np.array([0.0, 0.5, 1.0, 3.0]), q)
 
 
 class TestAnisotropy:
@@ -256,6 +301,20 @@ class TestValidate:
         # epsilon = 0 makes the default eta_star hit the open bound at 1
         violations = validate(ParameterSet(epsilon=0.0))
         assert any(v.key == "eta_star" for v in violations)
+
+    @pytest.mark.parametrize("eta_mode", ["constant", "seasonal"])
+    def test_eta_band_violation(self, p, eta_mode):
+        hi = 1.0 / (1.0 + p.epsilon)
+
+        def flagged(q):
+            return any(v.key == "eta_mode" for v in validate(q))
+
+        above = replace(p, eta_mode=eta_mode, eta_star=0.5 * (hi + 1.0))
+        assert flagged(above)
+        assert all(v.key != "eta_star" for v in validate(above))  # eta_star itself is fine
+        assert not flagged(replace(p, eta_mode=eta_mode, eta_star=0.5))
+        assert not flagged(replace(p, eta_mode=eta_mode, eta_star=hi))
+        assert not flagged(ParameterSet(eta_mode=eta_mode))
 
     def test_unknown_selector_flagged(self, p):
         violations = validate(replace(p, p2_mode="cubic"))

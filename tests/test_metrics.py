@@ -15,7 +15,7 @@ from anthobs import (
     l2_envelope,
     relative_abs_error,
 )
-from anthobs.forcing import inhibition_forcing_series, inhibition_weight_series
+from anthobs.forcing import inhibition_forcing, inhibition_weight
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -50,8 +50,8 @@ class TestRelativeAbsError:
 
 class TestAnalyticEnvelope:
     def test_initial_value(self, p):
-        a = lambda ts: inhibition_forcing_series(ts, p)
-        w = lambda ts: inhibition_weight_series(ts, p)
+        a = lambda ts: inhibition_forcing(ts, p)
+        w = lambda ts: inhibition_weight(ts, p)
         assert analytic_envelope(0.0, a, w, 0.75) == 0.75
 
     def test_constant_coefficients(self):
@@ -62,31 +62,31 @@ class TestAnalyticEnvelope:
 
     def test_dual_quadrature_crosscheck(self, p):
         # composite Simpson vs independent high-resolution trapezoid
-        a = lambda ts: inhibition_forcing_series(ts, p)
-        w = lambda ts: inhibition_weight_series(ts, p)
+        a = lambda ts: inhibition_forcing(ts, p)
+        w = lambda ts: inhibition_weight(ts, p)
         got = analytic_envelope(1.0, a, w, 1.0, panels=10_000)
         ts = np.linspace(0.0, 1.0, 1_000_001)
         q_ref = np.trapezoid(a(ts) * w(ts), ts)
         assert got == pytest.approx(math.exp(-q_ref), rel=1e-8)
 
     def test_nonincreasing(self, p):
-        a = lambda ts: inhibition_forcing_series(ts, p)
-        w = lambda ts: inhibition_weight_series(ts, p)
+        a = lambda ts: inhibition_forcing(ts, p)
+        w = lambda ts: inhibition_weight(ts, p)
         vals = [analytic_envelope(t, a, w, 1.0, panels=2000)
                 for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
 
     def test_negative_time_rejected(self, p):
-        a = lambda ts: inhibition_forcing_series(ts, p)
-        w = lambda ts: inhibition_weight_series(ts, p)
+        a = lambda ts: inhibition_forcing(ts, p)
+        w = lambda ts: inhibition_weight(ts, p)
         with pytest.raises(ValueError):
             analytic_envelope(-0.1, a, w, 1.0)
 
 
 class TestEnvelopeSeries:
     def test_matches_scalar_op(self, p):
-        a = lambda ts: inhibition_forcing_series(ts, p)
-        w = lambda ts: inhibition_weight_series(ts, p)
+        a = lambda ts: inhibition_forcing(ts, p)
+        w = lambda ts: inhibition_weight(ts, p)
         times = np.array([0.001, 0.1, 0.25, 0.5, 0.777, 1.0])
         series = envelope_series(times, p, 0.75)
         scalar = np.array([analytic_envelope(t, a, w, 0.75) for t in times])

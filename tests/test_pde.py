@@ -1,5 +1,6 @@
 """Spatial discretisation: stencil, field dynamics, reduction to the ODE."""
 
+import dataclasses
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -23,8 +24,8 @@ from anthobs import (
     spatial_observer_rhs,
 )
 from anthobs import forcing as F
-from anthobs import ode
-from anthobs.ode import phi1_field, phi2_field, phi3_field
+from anthobs import ode, pde
+from anthobs.ode import phi1_field, phi2_field
 from anthobs.pde import SpatialCoefficients, spatial_coefficients
 
 
@@ -145,13 +146,17 @@ class TestPointwiseKernels:
         th = rng.random(64)
         vh = rng.random(64)
         t = 0.27
-        field = phi3_field(t, th, vh, p)
+        field = ode.growth_saturation(t, th, vh, p)
         scalar = np.array([ode.growth_saturation(t, x, y, p) for x, y in zip(th, vh)])
         assert np.array_equal(field, scalar)
 
     def test_phi3_guard(self, p):
-        with pytest.raises(ValueError):
-            phi3_field(0.1, np.array([1.0 + 2 * p.epsilon]), np.array([0.5]), p)
+        # the guard names the first offending sample, for a float or a field
+        with pytest.raises(ValueError, match=r"theta_hat=-9\.99[0-9e-]+ <= 0 at t=0\.1$"):
+            ode.growth_saturation(0.1, 1.0 + 2 * p.epsilon, 0.5, p)
+        theta_hat = np.array([0.5, 1.0 + 2 * p.epsilon, 1.0 + 3 * p.epsilon])
+        with pytest.raises(ValueError, match=r"theta_hat=-9\.99[0-9e-]+ <= 0 at t=0\.2$"):
+            ode.growth_saturation(np.array([0.1, 0.2, 0.3]), theta_hat, 0.5, p)
 
 
 class TestSpatialRhs:
@@ -319,6 +324,49 @@ class TestSpatialConditions:
         tr = simulate(system, 0.0, 0.05, 1e-4)
         rep = check_conditions_spatial(tr, sp2, system.coef)
         assert rep.dominance_inf >= 0.0
+
+
+    def test_blocks_match_per_record_loop(self, p):
+        # 101 records of 32x32 cells: more than one block, not a multiple of it
+        sp1 = SpatialParameterSet(base=replace(p, k1=1e3, k2=1e3))
+        system = SpatialSystem(sp1, Grid(2, 32), 0.75, 0.05, 0.75)
+        tr = simulate(system, 0.15, 0.25, 1e-4)
+        block = pde.BLOCK_SAMPLES // 32 ** 2
+        assert len(tr) > block and len(tr) % block != 0
+        tr.truth[3, 1, :2] = 0.0  # a few cells without volume: excluded samples
+        sens = np.random.default_rng(3).standard_normal(tr.truth[:, 1].shape)
+        rep = check_conditions_spatial(tr, sp1, system.coef, sens)
+        ref = _per_record_report(tr, sp1, system.coef, sens)
+        for f in dataclasses.fields(rep):
+            # numpy's exp may differ from libm by one ulp
+            assert getattr(rep, f.name) == pytest.approx(getattr(ref, f.name), rel=1e-12), f.name
+        # the values the per-record loop gave before records were evaluated in blocks
+        assert rep.alpha_inf == 0.0 and rep.alpha_zero_times == [0.2]
+        assert rep.coercivity_samples == 103424
+        assert rep.stability1_excluded == rep.stability2_excluded == 64
+        assert rep.stability1_inf == pytest.approx(-14463.690093139494, rel=1e-9)
+        assert rep.stability2_inf == pytest.approx(-14444.194565850023, rel=1e-9)
+        assert rep.dominance_inf == pytest.approx(-60.43171097519059, rel=1e-9)
+
+
+def _per_record_report(traj, sp, coef, sensitivity):
+    """The spatial diagnostics evaluated one record at a time on float times:
+    the reference for the block evaluation of ``check_conditions_spatial``."""
+    p = sp.base
+
+    def batches():
+        for i, t in enumerate(traj.times.tolist()):
+            theta, v, _ = traj.truth[i]
+            o = ObserverState(*traj.observer[i])
+            m = Measurement(*traj.measurements[i])
+            excluded = v < ode.SINGULAR_TOL
+            ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[i]) / np.where(excluded, 1.0, v)
+            yield (t, pde.inhibition_forcing_field(t, coef, p), pde._weight_field(t, coef, p),
+                   theta, coef.q3 * F.rot_forcing(t, theta, m.v, m.rho, p),
+                   coef.q3 * F.rot_forcing(t, o.theta_hat, m.v, m.rho, p),
+                   o, m, ratio, excluded)
+
+    return ode.condition_report(batches(), p, [])
 
 
 class TestL2Envelope:

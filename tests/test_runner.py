@@ -480,6 +480,24 @@ class TestSweepAndCheck:
         assert main(["check", str(tmp_path)]) == 1
         assert "3 problem(s) found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["final_abs_err", "cond_alpha_inf"])
+    def test_record_value_not_a_number_reported(self, p, tmp_path, fast_scenarios, key,
+                                                monkeypatch, capsys):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:2])
+        damaged, other = sorted(tmp_path / s.label for s in fast_scenarios[:2])
+        rec = damaged / "record.txt"
+        rec.write_text(re.sub(rf"^{key} = ", f"{key} = x", rec.read_text(), flags=re.M))
+        checked = []
+        check_one = runner._check_one_dir
+        monkeypatch.setattr(runner, "_check_one_dir",
+                            lambda d: checked.append(d) or check_one(d))
+        (problem,) = runner.check_artifacts(tmp_path)
+        assert re.fullmatch(rf"{re.escape(str(damaged))}: record\.txt: {key} = 'x.*'"
+                            " is not a number", problem)
+        assert checked == [damaged, other]
+        assert main(["check", str(tmp_path)]) == 1
+        assert "1 problem(s) found" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["", "t,theta\n", "t,theta\n0.0,0.5\n0.1\n"])
     def test_empty_or_ragged_csv_reported(self, p, tmp_path, fast_scenarios, text):
         runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])

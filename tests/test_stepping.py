@@ -9,6 +9,7 @@ import pytest
 from anthobs import (
     Grid,
     ModelState,
+    SpatialParameterSet,
     SpatialSystem,
     WithinHostSystem,
     model_rhs,
@@ -241,10 +242,21 @@ class TestSimulate:
             simulate(system, 1.0, 0.0, 1e-4)
 
     def test_truth_only_run(self, p):
-        system = WithinHostSystem(p, 0.5, 0.5, 0.25)
-        traj = simulate(system, 0.0, 0.01, 1e-4, truth_only=True)
-        assert traj.observer is None
-        assert len(traj) == 11
+        # no observer reads a truth-only run's measurement, so none is taken;
+        # the truth is the truth of the full run, bit for bit
+        def refuse(*args):
+            raise AssertionError("a truth-only run took a measurement")
+
+        for make in (lambda: WithinHostSystem(p, 0.5, 0.5, 0.25, "finite_difference"),
+                     lambda: SpatialSystem(SpatialParameterSet(base=p), Grid(2, 4),
+                                           0.5, 0.5, 0.5)):
+            full = simulate(make(), 0.0, 0.01, 1e-4)
+            system = make()
+            system.measure = refuse
+            traj = simulate(system, 0.0, 0.01, 1e-4, truth_only=True)
+            assert traj.observer is None and traj.measurements is None
+            assert len(traj) == 11
+            assert np.array_equal(traj.truth, full.truth)
 
 
 class TestCflLimit:
