@@ -40,8 +40,6 @@ from .pde import (
     aggregate,
     check_conditions_spatial,
     laplacian_neumann,
-    spatial_model_rhs,
-    spatial_observer_rhs,
 )
 from .runner import (
     RunRecord,
@@ -95,8 +93,6 @@ __all__ = [
     "run_scenario",
     "scenario_matrix",
     "simulate",
-    "spatial_model_rhs",
-    "spatial_observer_rhs",
     "step_euler",
     "step_rk4",
     "sweep",

@@ -22,7 +22,6 @@ __all__ = [
     "control",
     "inhibition_weight",
     "inhibition_forcing",
-    "baseline_forcing",
     "growth_profile",
     "growth_forcing",
     "rot_forcing",
@@ -65,14 +64,15 @@ def control(t: Value, p: ParameterSet) -> Value:
     return s * s * e
 
 
-def inhibition_weight(t: Value, p: ParameterSet) -> Value:
-    """Control weight ``w(t) = 1/(1 - sigma*u(t))`` in the inhibition dynamics.
+def inhibition_weight(t: Value, p: ParameterSet, u_space: Value = 1.0) -> Value:
+    """Control weight ``w(t) = 1/(1 - sigma*u_space*u(t))`` in the inhibition dynamics.
 
+    ``u_space`` is the spatial control profile (1 in the within-host model).
     Under treatment the inhibition rate relaxes towards ``1/w <= 1`` instead
-    of 1.  Raises ``ValueError`` when ``sigma*u(t) >= 1`` (singular
-    configuration; impossible for ``sigma < 1`` since ``u <= 1``).
+    of 1.  Raises ``ValueError`` when ``sigma*u >= 1`` (singular
+    configuration; impossible for ``sigma < 1`` since ``u_space*u <= 1``).
     """
-    den = 1.0 - p.sigma * control(t, p)
+    den = 1.0 - p.sigma * (u_space * control(t, p))
     bad = den <= 0.0
     if bad is not False and np.any(bad):  # a float time tests one bool
         raise ValueError(f"sigma*u(t) >= 1 at t={first_offender(bad, t)[0]}:"
@@ -90,16 +90,11 @@ def seasonal(t: Value, b: float, c: float, d: float) -> Value:
     return b * (1.0 - cos) * (t - d) ** 2
 
 
-def baseline_forcing(t: Value, p: ParameterSet) -> float:
-    """Baseline term ``p1(t)`` of the inhibition forcing (zero by default)."""
-    if p.p1_mode == "constant":
-        return p.p1_const
-    return 0.0
-
-
-def inhibition_forcing(t: Value, p: ParameterSet) -> Value:
-    """Inhibition-rate forcing ``p1(t) + b1*(1 - cos(c1*t))*(t - d1)^2``."""
-    return baseline_forcing(t, p) + seasonal(t, p.b1, p.c1, p.d1)
+def inhibition_forcing(t: Value, p: ParameterSet, q1: Value = 1.0) -> Value:
+    """Inhibition-rate forcing ``p1 + q1*b1*(1 - cos(c1*t))*(t - d1)^2``, with the baseline
+    ``p1`` (zero unless ``p1_mode`` is constant) and the spatial profile ``q1``."""
+    p1 = p.p1_const if p.p1_mode == "constant" else 0.0
+    return p1 + q1 * seasonal(t, p.b1, p.c1, p.d1)
 
 
 def growth_profile(theta: Value, p: ParameterSet) -> Value:

@@ -1,4 +1,4 @@
-"""Within-host disease model, its observer and condition diagnostics.
+"""The disease model, its observer and measurement, and condition diagnostics.
 
 State variables: inhibition rate ``theta`` in [0,1], berry volume ``v`` in
 [0, v_max], rot proportion ``rho`` in [0,1].  The rot volume is the derived
@@ -13,9 +13,11 @@ correction uses three terms:
 * a growth-saturation term that steers the volume estimate towards its
   logistic equilibrium.
 
-The state tuples hold floats here and fields in :mod:`anthobs.pde`;
-``growth_saturation``, the ``*_field`` corrections and the condition
-diagnostics serve both models.
+Each formula is written once, on floats or fields, with profiles ``coef``
+that scale the forcings at each point: the within-host model is the unit
+profile :data:`UNIT` on floats, the spatial model the profiles of
+:func:`anthobs.pde.spatial_coefficients` on fields plus the diffusion its
+system adds.  The condition diagnostics serve both models.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "ModelState",
     "ObserverState",
     "Measurement",
+    "SpatialCoefficients",
+    "UNIT",
     "model_rhs",
     "observer_rhs",
     "volume_gap",
@@ -40,8 +44,6 @@ __all__ = [
     "growth_saturation",
     "interior_indicator",
     "make_measurement",
-    "phi1_field",
-    "phi2_field",
     "condition_report",
     "check_conditions",
     "ConditionReport",
@@ -75,22 +77,42 @@ class Measurement(NamedTuple):
     drho_dt: Value
 
 
-def model_rhs(t: float, s: ModelState, p: ParameterSet) -> tuple[float, float, float]:
-    """Right-hand side ``(dtheta, dv, drho)`` of the within-host model.
+@dataclass(frozen=True)
+class SpatialCoefficients:
+    """Profiles that scale the forcings at each point, fixed over a run:
+    ``q1, q2, q3`` multiply the three forcings, ``u_space`` the control signal.
+    """
 
-    Raises ``ValueError`` if ``1 + epsilon - theta <= 0`` (cannot happen in
-    the state box; guards against numerical drift).
+    q1: Value
+    q2: Value
+    q3: Value
+    u_space: Value
+
+
+#: The within-host model: profiles of float 1 leave every product bit for bit.
+UNIT = SpatialCoefficients(1.0, 1.0, 1.0, 1.0)
+
+
+def model_rhs(t: float, s: ModelState, p: ParameterSet,
+              coef: SpatialCoefficients = UNIT) -> tuple:
+    """Right-hand side ``(dtheta, dv, drho)`` of the model at every point of
+    ``s``, without the diffusion of ``theta`` in the spatial model.
+
+    Raises ``ValueError`` naming the first sample where ``1 + epsilon - theta
+    <= 0`` (cannot happen in the state box; guards against numerical drift).
     """
     cap = 1.0 + p.epsilon - s.theta
-    if cap <= 0.0:
-        raise ValueError(f"volume capacity 1+epsilon-theta={cap} <= 0 at t={t}")
-    a = forcing.inhibition_forcing(t, p)
-    w = forcing.inhibition_weight(t, p)
+    bad = cap <= 0.0
+    if bad is not False and np.any(bad):  # float states test one bool
+        t_bad, cap_bad = forcing.first_offender(bad, t, cap)
+        raise ValueError(f"volume capacity 1+epsilon-theta={cap_bad} <= 0 at t={t_bad}")
+    a = forcing.inhibition_forcing(t, p, coef.q1)
+    w = forcing.inhibition_weight(t, p, coef.u_space)
     dtheta = a * (1.0 - w * s.theta)
-    dv = forcing.growth_forcing(t, s.theta, p) * (
+    dv = coef.q2 * forcing.growth_forcing(t, s.theta, p) * (
         1.0 - s.v / (forcing.volume_capacity(t, p) * p.v_max * cap)
     )
-    drho = forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
+    drho = coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
     return dtheta, dv, drho
 
 
@@ -99,28 +121,33 @@ def interior_indicator(x: Value) -> Value:
     return (x > 0.0) & (x < 1.0)
 
 
-def volume_gap(t: float, theta_hat: float, v_hat: float, m: Measurement,
-               p: ParameterSet) -> float:
-    """Volume-deficit correction ``(1 - v/v_hat)*(1 + epsilon - theta_hat)``.
+def volume_gap(theta_hat: Value, v_hat: Value, v_meas: Value, epsilon: float) -> Value:
+    """Volume-deficit correction ``(1 - v_meas/v_hat)*(1 + epsilon - theta_hat)``.
 
-    Active only when ``v <= v_hat``, ``theta_hat in ]0,1[`` and ``v_hat > 0``;
-    the guard branch absorbs every degenerate input.  Always >= 0.
+    Active only when ``v_meas <= v_hat``, ``theta_hat in ]0,1[`` and
+    ``v_hat > 0``; zero elsewhere, which absorbs every degenerate input.
+    Always >= 0.  Elementwise when ``theta_hat`` is an array.
     """
-    if m.v <= v_hat and 0.0 < theta_hat < 1.0 and v_hat > 0.0:
-        return (1.0 - m.v / v_hat) * (1.0 + p.epsilon - theta_hat)
+    if isinstance(theta_hat, np.ndarray):  # the same branches, dividing only where active
+        active = (v_meas <= v_hat) & interior_indicator(theta_hat) & (v_hat > 0.0)
+        ratio = np.divide(v_meas, v_hat, out=np.ones(np.shape(active)), where=active)
+        return np.where(active, (1.0 - ratio) * (1.0 + epsilon - theta_hat), 0.0)
+    if v_meas <= v_hat and 0.0 < theta_hat < 1.0 and v_hat > 0.0:
+        return (1.0 - v_meas / v_hat) * (1.0 + epsilon - theta_hat)
     return 0.0
 
 
-def rot_innovation(t: float, theta_hat: float, m: Measurement,
-                   p: ParameterSet) -> float:
-    """Rot-rate innovation: measured ``drho_dt`` minus the estimate's prediction.
+def rot_innovation(theta_hat: Value, drho_meas: Value, predicted: Value) -> Value:
+    """Rot-rate innovation: the measured ``drho_meas`` minus the rate
+    ``predicted`` from the estimate.
 
     Zero outside ``theta_hat in ]0,1[`` and whenever the estimate already
-    explains the measured rot rate.
+    explains the measured rot rate.  Elementwise when ``theta_hat`` is an array.
     """
+    if isinstance(theta_hat, np.ndarray):
+        return np.where(interior_indicator(theta_hat), drho_meas - predicted, 0.0)
     if 0.0 < theta_hat < 1.0:
-        predicted = forcing.rot_forcing(t, theta_hat, m.v, m.rho, p) * (1.0 - m.rho)
-        return m.drho_dt - predicted
+        return drho_meas - predicted
     return 0.0
 
 
@@ -139,17 +166,20 @@ def growth_saturation(t: Value, theta_hat: Value, v_hat: Value,
     return 1.0 - v_hat / (cap * forcing.volume_capacity(t, p) * p.v_max)
 
 
-def observer_rhs(t: float, o: ObserverState, m: Measurement,
-                 p: ParameterSet) -> tuple[float, float]:
-    """Right-hand side ``(dtheta_hat, dv_hat)`` of the observer."""
-    a = forcing.inhibition_forcing(t, p)
-    w = forcing.inhibition_weight(t, p)
+def observer_rhs(t: float, o: ObserverState, m: Measurement, p: ParameterSet,
+                 coef: SpatialCoefficients = UNIT) -> tuple:
+    """Right-hand side ``(dtheta_hat, dv_hat)`` of the observer at every point,
+    without diffusion; reads only its own state ``o`` and the measurement ``m``.
+    """
+    predicted = coef.q3 * forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p) * (1.0 - m.rho)
+    a = forcing.inhibition_forcing(t, p, coef.q1)
+    w = forcing.inhibition_weight(t, p, coef.u_space)
     dtheta = (
         a * (1.0 - w * o.theta_hat)
-        + p.k1 * volume_gap(t, o.theta_hat, o.v_hat, m, p)
-        + p.k2 * rot_innovation(t, o.theta_hat, m, p)
+        + p.k1 * volume_gap(o.theta_hat, o.v_hat, m.v, p.epsilon)
+        + p.k2 * rot_innovation(o.theta_hat, m.drho_dt, predicted)
     )
-    dv = forcing.growth_forcing(t, o.theta_hat, p) * growth_saturation(
+    dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * growth_saturation(
         t, o.theta_hat, o.v_hat, p
     )
     return dtheta, dv
@@ -157,8 +187,9 @@ def observer_rhs(t: float, o: ObserverState, m: Measurement,
 
 def make_measurement(t: float, s: ModelState, mode: str = "exact",
                      prev: tuple[ModelState, float] | None = None,
-                     p: ParameterSet | None = None) -> Measurement:
-    """Synthesise the observable stream from the true state.
+                     p: ParameterSet | None = None,
+                     coef: SpatialCoefficients = UNIT) -> Measurement:
+    """Synthesise the observable stream from the true state, at every point.
 
     ``exact`` mode reads ``drho_dt`` off the model right-hand side;
     ``finite_difference`` emulates a real differencing sensor with a backward
@@ -167,7 +198,7 @@ def make_measurement(t: float, s: ModelState, mode: str = "exact",
     if mode == "exact":
         if p is None:
             raise ValueError("exact mode requires the parameter set")
-        drho = forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
+        drho = coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
     elif mode == "finite_difference":
         if prev is None:
             raise ValueError("finite_difference mode requires the previous sample")
@@ -176,24 +207,6 @@ def make_measurement(t: float, s: ModelState, mode: str = "exact",
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
     return Measurement(s.v, s.rho, drho)
-
-
-# ---------------------------------------------------------------------------
-# correction terms on arrays (spatial observer, diagnostics)
-# ---------------------------------------------------------------------------
-
-def phi1_field(theta_hat: np.ndarray, v_hat: np.ndarray, v_meas: np.ndarray,
-               epsilon: float) -> np.ndarray:
-    """:func:`volume_gap` on arrays (same branches; divides only where active)."""
-    active = (v_meas <= v_hat) & interior_indicator(theta_hat) & (v_hat > 0.0)
-    ratio = np.divide(v_meas, v_hat, out=np.ones(np.shape(active)), where=active)
-    return np.where(active, (1.0 - ratio) * (1.0 + epsilon - theta_hat), 0.0)
-
-
-def phi2_field(theta_hat: np.ndarray, drho_meas: np.ndarray,
-               predicted: np.ndarray) -> np.ndarray:
-    """:func:`rot_innovation` on arrays, given the rot rate the estimate predicts."""
-    return np.where(interior_indicator(theta_hat), drho_meas - predicted, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +241,13 @@ class ConditionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def condition_report(batches, p: ParameterSet, notes: list[str]) -> ConditionReport:
+def condition_report(batches, p: ParameterSet, notes: list[str],
+                     coef: SpatialCoefficients = UNIT) -> ConditionReport:
     """Condition infima over every sample of one run's ``batches``, with the
-    observer gains ``p.k1`` and ``p.k2``.
+    observer gains ``p.k1`` and ``p.k2`` and the profiles ``coef``.
 
-    A batch ``(t, alpha, w, theta, rot, rot_hat, o, m, ratio, excluded)``
-    broadcasts: its times, inhibition forcing, control weight, true rate, rot
-    forcing at ``theta`` and at ``theta_hat`` (with the measured ``v, rho``),
-    observer state, measurement, stability factor ``R`` (``None``: not
+    A batch ``(t, theta, o, m, ratio, excluded)`` broadcasts: its times, true
+    rate, observer state, measurement, stability factor ``R`` (``None``: not
     evaluable when ``k1 > 0``) and the samples excluded as singular.  A batch
     holds any number of records, with the times on the leading axis.
     """
@@ -243,12 +255,17 @@ def condition_report(batches, p: ParameterSet, notes: list[str]) -> ConditionRep
     infima: dict[str, list] = {key: [] for key in ("alpha", "coer", "s1", "s2", "dom")}
     zero_times: list[float] = []
     n_coer = n_excluded = 0
-    for t, alpha, w, theta, rot, rot_hat, o, m, ratio, excluded in batches:
+    for t, theta, o, m, ratio, excluded in batches:
+        alpha = forcing.inhibition_forcing(t, p, coef.q1)
+        w = forcing.inhibition_weight(t, p, coef.u_space)
+        # the rot forcing at theta and at theta_hat, with the measured v, rho
+        rot, rot_hat = (coef.q3 * forcing.rot_forcing(t, x, m.v, m.rho, p)
+                        for x in (theta, o.theta_hat))
         err = np.abs(theta - o.theta_hat)
         informative = err > 1e-12
         coer = np.abs(rot - rot_hat)[informative] / err[informative]
-        phi2 = phi2_field(o.theta_hat, m.drho_dt, rot_hat * (1.0 - m.rho))
-        dom = k2 * np.abs(phi2) - k1 * phi1_field(o.theta_hat, o.v_hat, m.v, p.epsilon)
+        phi2 = rot_innovation(o.theta_hat, m.drho_dt, rot_hat * (1.0 - m.rho))
+        dom = k2 * np.abs(phi2) - k1 * volume_gap(o.theta_hat, o.v_hat, m.v, p.epsilon)
         zero_times += np.unique(np.broadcast_to(t, np.shape(alpha))[alpha < SINGULAR_TOL]).tolist()
         infima["alpha"].append(np.min(alpha))
         infima["dom"].append(np.min(dom))
@@ -300,12 +317,10 @@ def check_conditions(traj, p: ParameterSet) -> ConditionReport:
     t = traj.times
     theta, v, _ = traj.truth.T
     o = ObserverState(*traj.observer.T)
-    m = Measurement(*traj.measurements.T)
-    alpha = forcing.inhibition_forcing(t, p)
-    w = forcing.inhibition_weight(t, p)
     ratio, excluded = None, False
     if p.k1 != 0.0:
         # R = 1 + frac, frac singular where v, 1 - theta*w or alpha vanishes
+        alpha, w = forcing.inhibition_forcing(t, p), forcing.inhibition_weight(t, p)
         eta = forcing.volume_capacity(t, p)
         num = forcing.growth_forcing(t, theta, p) * (
             eta * p.v_max * (1.0 + p.epsilon - theta) - v)
@@ -313,6 +328,5 @@ def check_conditions(traj, p: ParameterSet) -> ConditionReport:
             ratio = 1.0 + num / (alpha * eta * v * p.v_max * (1.0 - theta * w))
         excluded = interior_indicator(o.theta_hat) & (
             (v < SINGULAR_TOL) | (np.abs(1.0 - theta * w) < SINGULAR_TOL) | (alpha < SINGULAR_TOL))
-    batch = (t, alpha, w, theta, forcing.rot_forcing(t, theta, m.v, m.rho, p),
-             forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p), o, m, ratio, excluded)
-    return condition_report([batch], p, [])
+    m = Measurement(*traj.measurements.T)
+    return condition_report([(t, theta, o, m, ratio, excluded)], p, [])

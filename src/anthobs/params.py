@@ -12,7 +12,7 @@ between threads / worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ParameterSet",
@@ -145,6 +145,19 @@ def _check_gains(k1: float, k2: float, dt: float) -> list[Violation]:
     return out
 
 
+def _check_finite(obj, skip=()) -> list[Violation]:
+    """A hard violation for each float field of ``obj``, or spatial point, that
+    is nan or infinite; each field in ``skip`` has a check that rejects it."""
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if f.name not in skip and not all(
+                math.isfinite(x) for x in numbers if isinstance(x, float)):
+            out.append(Violation(f.name, f"{f.name}={value} must be finite", hard=True))
+    return out
+
+
 def _check_selector(out: list[Violation], key: str, value: str, allowed) -> None:
     if value not in allowed:
         out.append(Violation(key, f"{key}={value!r} not one of {sorted(allowed)}", hard=True))
@@ -154,11 +167,12 @@ def validate(p: ParameterSet) -> list[Violation]:
     """Check every configuration-level model hypothesis on ``p``.
 
     Returns a (possibly empty) list of :class:`Violation`; never raises.
-    Violations flagged ``hard`` make simulation meaningless (singular control
-    weight, unstable gains, non-positive step) and are rejected by the
-    configuration loader; soft ones note broken model assumptions.
+    Violations flagged ``hard`` make simulation meaningless (a value that is
+    not finite, singular control weight, unstable gains, non-positive step)
+    and are rejected by the configuration loader; soft ones note broken model
+    assumptions.
     """
-    out: list[Violation] = []
+    out = _check_finite(p, skip=("sigma", "dt", "k1", "k2"))
     if not 0.0 < p.sigma < 1.0:
         out.append(Violation(
             "sigma",
@@ -214,7 +228,7 @@ def validate(p: ParameterSet) -> list[Violation]:
 
 def validate_spatial(sp: SpatialParameterSet) -> list[Violation]:
     """Validate the spatial extension together with its base parameters."""
-    out = validate(sp.base)
+    out = validate(sp.base) + _check_finite(sp)
     if sp.diffusivity < 0.0:
         out.append(Violation("diffusivity", f"diffusivity={sp.diffusivity} must be >= 0", hard=True))
     if sp.anisotropy_scale < 0.0:

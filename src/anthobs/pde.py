@@ -5,11 +5,12 @@ uniform grid; homogeneous Neumann (zero normal flux) boundaries are realised
 by ghost-cell reflection, which is second-order accurate and conserves the
 cell sum of the diffusion operator exactly (up to rounding).
 
-Fields are plain numpy arrays of shape ``grid.shape``, carried in the
-within-host state tuples of :mod:`anthobs.ode`.  The reaction terms are the
-within-host forcings of :mod:`anthobs.forcing` evaluated per cell and scaled
-by the spatial coefficient profiles; diffusion acts on the inhibition rate
-(true and estimated) only.
+Fields are plain numpy arrays of shape ``grid.shape``, carried in the state
+tuples of :mod:`anthobs.ode`.  This module holds only what is spatial: the
+grid, the diffusion operator, the coefficient profiles and the diagnostics
+over (time, cell) samples.  The reaction terms are the right-hand sides of
+:mod:`anthobs.ode` evaluated on fields with these profiles; the spatial system
+adds diffusion to the inhibition rate (true and estimated) only.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forcing, ode
-from .params import ParameterSet, SpatialParameterSet
+from .ode import SpatialCoefficients
+from .params import SpatialParameterSet
 
 __all__ = [
     "Grid",
-    "SpatialCoefficients",
     "laplacian_neumann",
     "spatial_coefficients",
-    "inhibition_forcing_field",
-    "rot_rate",
-    "spatial_model_rhs",
-    "spatial_observer_rhs",
     "aggregate",
     "check_conditions_spatial",
 ]
@@ -92,23 +89,9 @@ def laplacian_neumann(f: np.ndarray, grid: Grid, diffusivity: float) -> np.ndarr
     return inv_h2 * out
 
 
-@dataclass(frozen=True)
-class SpatialCoefficients:
-    """Per-cell spatial profiles, fixed over a run.
-
-    ``q1, q2, q3`` multiply the three forcings, ``u_space`` multiplies the
-    control signal.  The ``uniform`` profile sets all four to 1, reducing
-    every cell to the within-host dynamics.
-    """
-
-    q1: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
-    u_space: np.ndarray
-
-
 def spatial_coefficients(grid: Grid, sp: SpatialParameterSet) -> SpatialCoefficients:
-    """Evaluate the spatial coefficient profiles on the grid cells."""
+    """Evaluate the spatial coefficient profiles on the grid cells; the ``uniform``
+    profile sets all four to 1, reducing every cell to the within-host dynamics."""
     if sp.spatial_profile == "uniform":
         one = np.ones(grid.shape)
         return SpatialCoefficients(one, one.copy(), one.copy(), one.copy())
@@ -117,66 +100,6 @@ def spatial_coefficients(grid: Grid, sp: SpatialParameterSet) -> SpatialCoeffici
     u_space = np.sin(forcing.radial_squared(pts, m0, sp.center(0, grid.dim))) ** 2
     qs = [forcing.spatial_weight(pts, i, sp, grid.dim) for i in (1, 2, 3)]
     return SpatialCoefficients(qs[0], qs[1], qs[2], u_space)
-
-
-def inhibition_forcing_field(t: forcing.Value, coef: SpatialCoefficients,
-                             p: ParameterSet) -> np.ndarray:
-    """Inhibition forcing ``alpha(t, x) = p1(t) + q1(x)*b1*(1 - cos(c1*t))*(t - d1)^2``."""
-    return forcing.baseline_forcing(t, p) + coef.q1 * forcing.seasonal(t, p.b1, p.c1, p.d1)
-
-
-def _weight_field(t: forcing.Value, coef: SpatialCoefficients, p: ParameterSet) -> np.ndarray:
-    u = coef.u_space * forcing.control(t, p)
-    den = 1.0 - p.sigma * u
-    bad = den <= 0.0
-    if np.any(bad):
-        raise ValueError(f"sigma*u(t,x) >= 1 somewhere at t={forcing.first_offender(bad, t)[0]}")
-    return 1.0 / den
-
-
-def rot_rate(t: forcing.Value, s: ode.ModelState, coef: SpatialCoefficients,
-             p: ParameterSet) -> np.ndarray:
-    """Rot-proportion rate field ``q3 * rot_forcing * (1 - rho)``."""
-    return coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
-
-
-def spatial_model_rhs(t: float, s: ode.ModelState, grid: Grid, sp: SpatialParameterSet,
-                      coef: SpatialCoefficients):
-    """Field derivatives ``(dtheta, dv, drho)`` of the spatial model.
-
-    The inhibition rate diffuses; volume and rot proportion are pointwise.
-    """
-    p = sp.base
-    cap = 1.0 + p.epsilon - s.theta
-    if np.any(cap <= 0.0):
-        raise ValueError(f"volume capacity 1+epsilon-theta <= 0 somewhere at t={t}")
-    alpha = inhibition_forcing_field(t, coef, p)
-    w = _weight_field(t, coef, p)
-    dtheta = alpha * (1.0 - w * s.theta) + laplacian_neumann(s.theta, grid, sp.diffusivity)
-    dv = coef.q2 * forcing.growth_forcing(t, s.theta, p) * (
-        1.0 - s.v / (forcing.volume_capacity(t, p) * p.v_max * cap))
-    return dtheta, dv, rot_rate(t, s, coef, p)
-
-
-def spatial_observer_rhs(t: float, o: ode.ObserverState, m: ode.Measurement, grid: Grid,
-                         sp: SpatialParameterSet, coef: SpatialCoefficients):
-    """Field derivatives ``(dtheta_hat, dv_hat)`` of the spatial observer.
-
-    Reads only its own state ``o`` and the measured fields ``m``.  The
-    estimate diffuses like the true inhibition rate; corrections act
-    pointwise with the spatially constant gains ``k1, k2`` of ``sp.base``.
-    """
-    p = sp.base
-    predicted = rot_rate(t, ode.ModelState(o.theta_hat, m.v, m.rho), coef, p)
-    dtheta = (
-        inhibition_forcing_field(t, coef, p) * (1.0 - _weight_field(t, coef, p) * o.theta_hat)
-        + p.k1 * ode.phi1_field(o.theta_hat, o.v_hat, m.v, p.epsilon)
-        + p.k2 * ode.phi2_field(o.theta_hat, m.drho_dt, predicted)
-        + laplacian_neumann(o.theta_hat, grid, sp.diffusivity)
-    )
-    dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * ode.growth_saturation(
-        t, o.theta_hat, o.v_hat, p)
-    return dtheta, dv
 
 
 def aggregate(f: np.ndarray) -> tuple[float, float, float]:
@@ -222,9 +145,6 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
             if p.k1 > 0.0 and sensitivity is not None:
                 excluded = v < ode.SINGULAR_TOL
                 ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[rec]) / np.where(excluded, 1.0, v)
-            yield (t, inhibition_forcing_field(t, coef, p), _weight_field(t, coef, p), theta,
-                   coef.q3 * forcing.rot_forcing(t, theta, m.v, m.rho, p),
-                   coef.q3 * forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p),
-                   o, m, ratio, excluded)
+            yield t, theta, o, m, ratio, excluded
 
-    return ode.condition_report(batches(), p, notes)
+    return ode.condition_report(batches(), p, notes, coef)

@@ -2,11 +2,13 @@
 
 A system bundles initial states, invariant boxes, right-hand sides and
 measurement synthesis behind one interface: ``truth_rhs(t, y)``,
-``observer_rhs(t, z, m)`` and ``measure(t, y, prev)``.  The within-host
-system's states and measurements are tuples of floats; the spatial
-system's are stacked numpy arrays, component axis first, then the grid axes.
-The integrator reads the kind from the initial state and drives both
-models with the same loop.
+``observer_rhs(t, z, m)`` and ``measure(t, y, prev)``.  Both systems call the
+same right-hand sides and measurement of :mod:`anthobs.ode` with their
+coefficient profiles ``coef``: the unit profile on tuples of floats for the
+within-host system; the grid profiles on fields for the spatial system, which
+adds diffusion to the inhibition rate and stacks the components, component
+axis first, then the grid axes.  The integrator reads the kind from the
+initial state and drives both models with the same loop.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ def check_inputs(p: ParameterSet, theta0: float, v0: float, rho0: float,
             raise ValueError(f"initial state {name}={x} outside [{lo:g}, {hi:g}]")
 
 
+def _measure(system, t: float, y, prev) -> ode.Measurement:
+    """The measured stream of ``system`` at ``t``: exact, or a backward quotient
+    over ``prev = (t_prev, y_prev)`` after the first step of a differencing sensor."""
+    s = ode.ModelState(*y)
+    if system.measurement_mode == "finite_difference" and prev is not None:
+        t_prev, y_prev = prev
+        return ode.make_measurement(
+            t, s, "finite_difference", (ode.ModelState(*y_prev), t_prev))
+    return ode.make_measurement(t, s, "exact", p=system.p, coef=system.coef)
+
+
 class WithinHostSystem:
     """Within-host model coupled to its observer.
 
@@ -51,6 +64,7 @@ class WithinHostSystem:
     """
 
     component_names = COMPONENTS
+    coef = ode.UNIT
 
     def __init__(self, p: ParameterSet, theta0: float, v0: float, rho0: float,
                  measurement_mode: str = "exact"):
@@ -68,24 +82,17 @@ class WithinHostSystem:
     # states and measurements are tuples of floats
 
     def truth_rhs(self, t: float, y: tuple) -> tuple:
-        return ode.model_rhs(t, ode.ModelState(*y), self.p)
+        return ode.model_rhs(t, ode.ModelState(*y), self.p, self.coef)
 
     def measure(self, t: float, y: tuple, prev) -> ode.Measurement:
         # a name of its own: benchmarks/tracing.py counts measurements by patching it
         return self.measure_scalar(t, y, prev)
 
-    def measure_scalar(self, t: float, y: tuple, prev) -> ode.Measurement:
-        s = ode.ModelState(*y)
-        if self.measurement_mode == "finite_difference" and prev is not None:
-            t_prev, y_prev = prev
-            return ode.make_measurement(
-                t, s, "finite_difference", (ode.ModelState(*y_prev), t_prev))
-        # exact mode, and the first step of a differencing sensor
-        return ode.make_measurement(t, s, "exact", p=self.p)
+    measure_scalar = _measure
 
     def observer_rhs(self, t: float, z: tuple, m: tuple) -> tuple:
         return ode.observer_rhs(
-            t, ode.ObserverState(*z), ode.Measurement(*m), self.p)
+            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef)
 
 
 class SpatialSystem:
@@ -118,18 +125,15 @@ class SpatialSystem:
         return cfl_step_limit(self.grid.h, self.grid.dim, self.sp.diffusivity)
 
     def truth_rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.stack(pde.spatial_model_rhs(
-            t, ode.ModelState(*y), self.grid, self.sp, self.coef))
+        dtheta, dv, drho = ode.model_rhs(t, ode.ModelState(*y), self.p, self.coef)
+        return np.stack([dtheta + pde.laplacian_neumann(y[0], self.grid, self.sp.diffusivity),
+                         dv, drho])
 
     def measure(self, t: float, y: np.ndarray, prev) -> np.ndarray:
-        s = ode.ModelState(*y)
-        if self.measurement_mode == "finite_difference" and prev is not None:
-            t_prev, y_prev = prev
-            drho = (s.rho - y_prev[2]) / (t - t_prev)
-        else:
-            drho = pde.rot_rate(t, s, self.coef, self.p)
-        return np.stack([s.v, s.rho, drho])
+        return np.stack(_measure(self, t, y, prev))
 
     def observer_rhs(self, t: float, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return np.stack(pde.spatial_observer_rhs(
-            t, ode.ObserverState(*z), ode.Measurement(*m), self.grid, self.sp, self.coef))
+        dtheta, dv = ode.observer_rhs(
+            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef)
+        return np.stack([dtheta + pde.laplacian_neumann(z[0], self.grid, self.sp.diffusivity),
+                         dv])

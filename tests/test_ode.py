@@ -65,25 +65,28 @@ class TestVolumeGap:
     def test_hand_value(self, p):
         m = Measurement(0.3, 0.2, 0.0)
         expected = (1.0 - 0.3 / 0.6) * (1.0 + p.epsilon - 0.5)
-        assert volume_gap(0.1, 0.5, 0.6, m, p) == pytest.approx(expected, rel=1e-15)
+        assert volume_gap(0.5, 0.6, m.v, p.epsilon) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.25005, rel=1e-10)
 
     def test_inactive_when_measured_volume_larger(self, p):
-        m = Measurement(0.7, 0.2, 0.0)
-        assert volume_gap(0.1, 0.5, 0.6, m, p) == 0.0
+        assert volume_gap(0.5, 0.6, 0.7, p.epsilon) == 0.0
 
     def test_inactive_at_boundary_estimate(self, p):
-        m = Measurement(0.3, 0.2, 0.0)
-        assert volume_gap(0.1, 1.0, 0.6, m, p) == 0.0
-        assert volume_gap(0.1, 0.0, 0.6, m, p) == 0.0
+        assert volume_gap(1.0, 0.6, 0.3, p.epsilon) == 0.0
+        assert volume_gap(0.0, 0.6, 0.3, p.epsilon) == 0.0
 
     def test_inactive_at_zero_volume_estimate(self, p):
-        m = Measurement(0.0, 0.2, 0.0)
-        assert volume_gap(0.1, 0.5, 0.0, m, p) == 0.0
+        assert volume_gap(0.5, 0.0, 0.0, p.epsilon) == 0.0
 
     @given(th=unit, vh=unit, v=unit)
     def test_nonnegative(self, p, th, vh, v):
-        assert volume_gap(0.1, th, vh, Measurement(v, 0.2, 0.0), p) >= 0.0
+        assert volume_gap(th, vh, v, p.epsilon) >= 0.0
+
+
+def _innovation(t, theta_hat, m, p):
+    """The rot-rate innovation the observer forms from the measurement ``m``."""
+    return rot_innovation(
+        theta_hat, m.drho_dt, F.rot_forcing(t, theta_hat, m.v, m.rho, p) * (1.0 - m.rho))
 
 
 class TestRotInnovation:
@@ -91,12 +94,12 @@ class TestRotInnovation:
         t, th, v, rho = 0.05, 0.75, 0.5, 0.25
         drho = F.rot_forcing(t, th, v, rho, p) * (1.0 - rho)
         m = Measurement(v, rho, drho)
-        assert rot_innovation(t, th, m, p) == 0.0
+        assert _innovation(t, th, m, p) == 0.0
 
     def test_boundary_estimate_gives_zero(self, p):
         m = Measurement(0.5, 0.25, 0.123)
-        assert rot_innovation(0.05, 0.0, m, p) == 0.0
-        assert rot_innovation(0.05, 1.0, m, p) == 0.0
+        assert _innovation(0.05, 0.0, m, p) == 0.0
+        assert _innovation(0.05, 1.0, m, p) == 0.0
 
     def test_gap_equals_forcing_difference(self, p):
         # with an exact measurement the innovation reduces to
@@ -106,7 +109,7 @@ class TestRotInnovation:
         m = Measurement(v, rho, drho)
         expected = (1.0 - rho) * (
             F.rot_forcing(t, th, v, rho, p) - F.rot_forcing(t, th_hat, v, rho, p))
-        assert rot_innovation(t, th_hat, m, p) == pytest.approx(expected, rel=1e-14)
+        assert _innovation(t, th_hat, m, p) == pytest.approx(expected, rel=1e-14)
 
 
 class TestGrowthSaturation:

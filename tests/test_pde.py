@@ -20,13 +20,11 @@ from anthobs import (
     check_conditions_spatial,
     laplacian_neumann,
     simulate,
-    spatial_model_rhs,
-    spatial_observer_rhs,
 )
 from anthobs import forcing as F
 from anthobs import ode, pde
-from anthobs.ode import phi1_field, phi2_field
-from anthobs.pde import SpatialCoefficients, spatial_coefficients
+from anthobs.ode import SpatialCoefficients
+from anthobs.systems import MEASUREMENT_MODES
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +119,9 @@ class TestPointwiseKernels:
         th = rng.random(64)
         vh = rng.random(64)
         v = rng.random(64)
-        field = phi1_field(th, vh, v, p.epsilon)
+        field = ode.volume_gap(th, vh, v, p.epsilon)
         scalar = np.array([
-            ode.volume_gap(0.0, t, y, Measurement(vm, 0.0, 0.0), p)
+            ode.volume_gap(t, y, vm, p.epsilon)
             for t, y, vm in zip(th, vh, v)])
         assert np.array_equal(field, scalar)
 
@@ -135,9 +133,9 @@ class TestPointwiseKernels:
         drho = rng.standard_normal(64)
         q3 = np.ones(64)
         t = 0.11
-        field = phi2_field(th, drho, q3 * F.rot_forcing(t, th, v, rho, p) * (1.0 - rho))
+        field = ode.rot_innovation(th, drho, q3 * F.rot_forcing(t, th, v, rho, p) * (1.0 - rho))
         scalar = np.array([
-            ode.rot_innovation(t, x, Measurement(vm, rm, dm), p)
+            ode.rot_innovation(x, dm, F.rot_forcing(t, x, vm, rm, p) * (1.0 - rm))
             for x, vm, rm, dm in zip(th, v, rho, drho)])
         assert np.array_equal(field, scalar)
 
@@ -163,25 +161,25 @@ class TestSpatialRhs:
     def test_constant_state_matches_ode_rhs(self, p, uniform_sp):
         g = Grid(2, 8)
         th, v, rho = 0.4, 0.3, 0.2
-        s = ModelState(np.full(g.shape, th), np.full(g.shape, v), np.full(g.shape, rho))
-        d = spatial_model_rhs(0.11, s, g, uniform_sp, spatial_coefficients(g, uniform_sp))
+        system = SpatialSystem(uniform_sp, g, th, v, rho)
+        d = system.truth_rhs(0.11, system.truth0)
         d_ode = ode.model_rhs(0.11, ode.ModelState(th, v, rho), p)
         for field, scalar in zip(d, d_ode):
             assert np.array_equal(field, np.full(g.shape, scalar))
 
     def test_vanishes_at_peak_time(self, p, sp):
         g = Grid(1, 8)
-        s = ModelState(*(np.full(g.shape, x) for x in (0.4, 0.3, 0.2)))
-        d = spatial_model_rhs(0.75, s, g, sp, spatial_coefficients(g, sp))
+        system = SpatialSystem(sp, g, 0.4, 0.3, 0.2)
+        d = system.truth_rhs(0.75, system.truth0)
         for field in d:
             assert np.array_equal(field, np.zeros(g.shape))
 
     def test_two_equal_cells_have_zero_diffusion(self, p, sp):
         g = Grid(1, 2)
-        s = ModelState(*(np.full(g.shape, x) for x in (0.4, 0.3, 0.2)))
-        coef = spatial_coefficients(g, sp)
-        d_with = spatial_model_rhs(0.11, s, g, sp, coef)
-        d_without = spatial_model_rhs(0.11, s, g, replace(sp, diffusivity=0.0), coef)
+        with_d = SpatialSystem(sp, g, 0.4, 0.3, 0.2)
+        without_d = SpatialSystem(replace(sp, diffusivity=0.0), g, 0.4, 0.3, 0.2)
+        d_with = with_d.truth_rhs(0.11, with_d.truth0)
+        d_without = without_d.truth_rhs(0.11, without_d.truth0)
         np.testing.assert_array_equal(d_with[0], d_without[0])
 
     def test_observer_matches_model_at_truth_without_gains(self, p, sp):
@@ -190,10 +188,10 @@ class TestSpatialRhs:
         th = 0.2 + 0.5 * rng.random(g.shape)
         v = 0.1 + 0.5 * rng.random(g.shape)
         rho = 0.1 * rng.random(g.shape)
-        coef = spatial_coefficients(g, sp)
-        d_model = spatial_model_rhs(0.11, ModelState(th, v, rho), g, sp, coef)
-        m = Measurement(v, rho, d_model[2])
-        d_obs = spatial_observer_rhs(0.11, ObserverState(th.copy(), v.copy()), m, g, sp, coef)
+        system = SpatialSystem(sp, g, 0.5, 0.5, 0.5)
+        d_model = system.truth_rhs(0.11, np.stack([th, v, rho]))
+        m = np.stack([v, rho, d_model[2]])
+        d_obs = system.observer_rhs(0.11, np.stack([th, v]), m)
         np.testing.assert_allclose(d_obs[0], d_model[0], rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(d_obs[1], d_model[1], rtol=1e-13, atol=1e-16)
 
@@ -219,11 +217,10 @@ class TestFoldedEquivalence:
 
     @staticmethod
     def _both(p, t, coef, truth, est, drho, k1, k2):
-        sp = SpatialParameterSet(base=replace(p, k1=k1, k2=k2), diffusivity=0.0)
-        g = Grid(1, _N)
-        d_model = spatial_model_rhs(t, ModelState(*truth), g, sp, coef)
-        d_obs = spatial_observer_rhs(t, ObserverState(*est), Measurement(truth[1], truth[2], drho),
-                                     g, sp, coef)
+        pk = replace(p, k1=k1, k2=k2)
+        d_model = ode.model_rhs(t, ModelState(*truth), pk, coef)
+        d_obs = ode.observer_rhs(t, ObserverState(*est), Measurement(truth[1], truth[2], drho),
+                                 pk, coef)
         for i in range(_N):
             pc = replace(p, b1=coef.q1[i] * p.b1, b2=coef.q2[i] * p.b2, b3=coef.q3[i] * p.b3,
                          sigma=coef.u_space[i] * p.sigma, k1=k1, k2=k2)
@@ -231,7 +228,7 @@ class TestFoldedEquivalence:
             o = ObserverState(*(float(f[i]) for f in est))
             m = Measurement(s.v, s.rho, float(drho[i]))
             scale = (abs(F.inhibition_forcing(t, pc)) * (1.0 + F.inhibition_weight(t, pc))
-                     + k1 * abs(ode.volume_gap(t, o.theta_hat, o.v_hat, m, pc))
+                     + k1 * abs(ode.volume_gap(o.theta_hat, o.v_hat, m.v, pc.epsilon))
                      + k2 * (abs(m.drho_dt) + abs(F.rot_forcing(t, o.theta_hat, m.v, m.rho, pc))))
             yield ([f[i] for f in d_model], ode.model_rhs(t, s, pc),
                    [f[i] for f in d_obs], ode.observer_rhs(t, o, m, pc), scale)
@@ -250,14 +247,25 @@ class TestFoldedEquivalence:
 
     @given(t=_unit, truth=st.tuples(*[_cells(_unit, _N)] * 3),
            est=st.tuples(*[_cells(_unit, _N)] * 2), drho=_cells(st.floats(-50.0, 50.0), _N),
-           k1=_gain, k2=_gain)
+           k1=_gain, k2=_gain, rho_prev=_cells(_unit, _N))
     @settings(max_examples=100, deadline=None)
-    def test_uniform_profile_is_exact(self, p, t, truth, est, drho, k1, k2):
+    def test_uniform_profile_is_exact(self, p, t, truth, est, drho, k1, k2, rho_prev):
         one = np.ones(_N)
         coef = SpatialCoefficients(one, one, one, one)
         for model, model_ode, obs, obs_ode, _ in self._both(p, t, coef, truth, est, drho, k1, k2):
             assert [float(x) for x in model] == list(model_ode)
             assert [float(x) for x in obs] == list(obs_ode)
+        # the measurement of each cell, read off the model or differenced
+        sp = SpatialParameterSet(base=p, spatial_profile="uniform")
+        y, y_prev = np.stack(truth), np.stack([truth[0], truth[1], rho_prev])
+        prev = (t - 1e-3, y_prev)
+        for mode in MEASUREMENT_MODES:
+            fields = SpatialSystem(sp, Grid(1, _N), 0.5, 0.5, 0.5, mode).measure(t, y, prev)
+            within = WithinHostSystem(p, 0.5, 0.5, 0.5, mode)
+            for i in range(_N):
+                cell = within.measure(t, tuple(y[:, i].tolist()),
+                                      (prev[0], tuple(y_prev[:, i].tolist())))
+                assert fields[:, i].tolist() == list(cell)
 
 
 class TestReductionOracle:
@@ -361,12 +369,9 @@ def _per_record_report(traj, sp, coef, sensitivity):
             m = Measurement(*traj.measurements[i])
             excluded = v < ode.SINGULAR_TOL
             ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[i]) / np.where(excluded, 1.0, v)
-            yield (t, pde.inhibition_forcing_field(t, coef, p), pde._weight_field(t, coef, p),
-                   theta, coef.q3 * F.rot_forcing(t, theta, m.v, m.rho, p),
-                   coef.q3 * F.rot_forcing(t, o.theta_hat, m.v, m.rho, p),
-                   o, m, ratio, excluded)
+            yield t, theta, o, m, ratio, excluded
 
-    return ode.condition_report(batches(), p, [])
+    return ode.condition_report(batches(), p, [], coef)
 
 
 class TestL2Envelope:

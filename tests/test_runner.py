@@ -1,5 +1,6 @@
 """Configuration files, scenario matrix, artifacts, re-checks and the CLI."""
 
+import dataclasses
 import math
 import re
 import shutil
@@ -17,7 +18,7 @@ from anthobs import runner, simulate, svgplot
 from anthobs.cli import main
 from anthobs.config import ConfigError, load_config_text, write_config
 from anthobs.fileio import write_atomic
-from anthobs.params import gain_cap
+from anthobs.params import gain_cap, validate_spatial
 
 
 def _floats(lo, hi):
@@ -57,6 +58,11 @@ def admissible_configs(draw):
         scheme=draw(st.sampled_from(["euler", "rk4"])), t0=t0,
         t1=t0 + draw(_floats(0.0, 1.0)), **(grid if model == "pde" else {}))
     return p, sp, s
+
+
+#: Every float field of the parameter sets, and every spatial point.
+FLOAT_KEYS = [f.name for cls in (ParameterSet, SpatialParameterSet) for f in dataclasses.fields(cls)
+              if f.type.startswith(("float", "tuple"))]
 
 
 @pytest.fixture()
@@ -111,6 +117,18 @@ class TestConfig:
     def test_nonfinite_scenario_rejected_with_line(self, item):
         with pytest.raises(ConfigError, match="line 2: invalid scenario"):
             load_config_text(f"# two\nscenario = ode theta0=0.5 v0=0.5 rho0=0.25 {item}\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nonfinite_parameter_rejected(self, p, key, value):
+        sp = SpatialParameterSet(base=p)
+        if key in {f.name for f in dataclasses.fields(ParameterSet)}:
+            sp = replace(sp, base=replace(p, **{key: value}))
+        else:
+            sp = replace(sp, **{key: (0.5, value) if key.startswith("x") else value})
+        assert key in {v.key for v in validate_spatial(sp) if v.hard}
+        with pytest.raises(ConfigError, match=f"configuration rejected: .*{key}="):
+            load_config_text(write_config(sp.base, sp))
 
     def test_round_trip_exact(self):
         p = ParameterSet(sigma=0.85, k2=123.456789, epsilon=3e-5, seed=7,
@@ -497,6 +515,50 @@ class TestSweepAndCheck:
         assert checked == [damaged, other]
         assert main(["check", str(tmp_path)]) == 1
         assert "1 problem(s) found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["ode", "pde"])
+    def test_unreplayable_directory_reported_and_checking_goes_on(
+            self, p, tmp_path, model, monkeypatch, capsys):
+        # a gain-free run, damaged so that its checks cannot be replayed, and a
+        # healthy gains-on run checked after it
+        theta0, rho0, grid = (0.75, 0.25, {}) if model == "ode" else (0.5, 0.5, {"dim": 1, "n": 4})
+        damaged, healthy = (
+            runner.make_scenario(p, model, theta0, 0.5, rho0, 0.0, k2, t1=0.02, **grid)
+            for k2 in (0.0, 1e3))
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=[damaged, healthy])
+        d = tmp_path / damaged.label
+        if model == "ode":  # two swapped times
+            lines = (d / "series.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines[3:5]]
+            rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+            lines[3:5] = [",".join(row) for row in rows]
+            (d / "series.csv").write_text("\n".join(lines) + "\n")
+            reason = "times must be nonnegative and strictly increasing"
+        else:  # an alpha infimum below zero
+            rec = d / "record.txt"
+            rec.write_text(re.sub(r"^cond_alpha_inf = .*$", "cond_alpha_inf = -1",
+                                  rec.read_text(), flags=re.M))
+            reason = "inf_alpha=-1.0 must be >= 0"
+        checked = []
+        check_one = runner._check_one_dir
+        monkeypatch.setattr(runner, "_check_one_dir",
+                            lambda directory: checked.append(directory) or check_one(directory))
+        problems = runner.check_artifacts(tmp_path)
+        assert problems[-1] == f"{d}: cannot replay the checks: {reason}"
+        assert all(problem.startswith(f"{d}: ") for problem in problems)
+        assert checked == [d, tmp_path / healthy.label]
+        assert main(["check", str(tmp_path)]) == 1
+        assert f"{len(problems)} problem(s) found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", [1 / 30000, 1 / 7000], ids=["dt_1_30000", "dt_1_7000"])
+    def test_time_grid_slack_follows_csv_rounding(self, tmp_path, dt):
+        q = ParameterSet(dt=dt)
+        s = runner.make_scenario(q, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.5)
+        runner.sweep("custom", q, out_dir=tmp_path, scenarios=[s])
+        assert runner.check_artifacts(tmp_path) == []
+        csv = tmp_path / s.label / "series.csv"
+        self._edit_csv(csv, "t", 100, lambda x: f"{x + 1e-6:.9g}")
+        assert f"{csv.parent}: time axis is not a uniform grid" in runner.check_artifacts(tmp_path)
 
     @pytest.mark.parametrize("text", ["", "t,theta\n", "t,theta\n0.0,0.5\n0.1\n"])
     def test_empty_or_ragged_csv_reported(self, p, tmp_path, fast_scenarios, text):
