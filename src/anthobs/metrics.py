@@ -4,8 +4,8 @@ The observer analysis yields two closed-form bounds which double as test
 oracles: the exact error law of the gain-free observer,
 ``e(t) = exp(-int_0^t alpha*w) * e(0)``, and the squared-error envelope
 ``e^2(t) <= exp(-int_0^t alpha*w) * e^2(0)`` when only the rot-innovation
-gain is active.  Envelope integrals are evaluated by composite Simpson
-quadrature.
+gain is active.  Envelope integrals are evaluated by the composite Simpson
+rule, written once in numpy (:func:`_simpson`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import forcing
 from .params import ParameterSet
@@ -97,19 +96,28 @@ def error_series_pde(traj, floor: float = REL_ERR_FLOOR) -> ErrorSeries:
     )
 
 
+def _simpson(y: np.ndarray, h):
+    """Composite Simpson rule on the last axis of ``y``: an odd number of
+    samples ``h`` apart (``h`` broadcasts against the leading axes)."""
+    weights = np.ones(y.shape[-1])
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (h / 3.0) * (y * weights).sum(axis=-1)
+
+
 def analytic_envelope(t: float, alpha_fn, w_fn, e0: float,
                       panels: int = 10_000) -> float:
     """Gain-free error envelope ``e0 * exp(-int_0^t alpha(s) w(s) ds)``.
 
-    The integral uses composite Simpson quadrature with at least ``panels``
-    panels on ``[0, t]``.  ``alpha_fn`` and ``w_fn`` must accept numpy arrays.
+    The integral uses the composite Simpson rule with ``panels`` panels on
+    ``[0, t]``.  ``alpha_fn`` and ``w_fn`` must accept numpy arrays.
     """
     if t < 0.0:
         raise ValueError(f"t={t} must be >= 0")
     if t == 0.0:
         return e0
     ts = np.linspace(0.0, t, 2 * panels + 1)
-    q = simpson(alpha_fn(ts) * w_fn(ts), x=ts)
+    q = _simpson(alpha_fn(ts) * w_fn(ts), t / (2 * panels))
     return e0 * math.exp(-q)
 
 
@@ -128,21 +136,13 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float,
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be nonnegative and strictly increasing")
     edges = np.concatenate([[0.0], times]) if times[0] > 0.0 else times
+    widths = np.diff(edges)
     # keep sub-panels below ~2e-5 so coarse recording grids stay accurate
-    width_max = float(np.max(np.diff(edges))) if len(edges) > 1 else 0.0
-    m = max(panels_per_interval, int(math.ceil(width_max * 2.5e4)))
+    m = max(panels_per_interval, int(math.ceil(widths.max(initial=0.0) * 2.5e4)))
     # Simpson nodes for each interval: shape (n_intervals, 2m+1)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    frac = np.linspace(0.0, 1.0, 2 * m + 1)[None, :]
-    nodes = lo + (hi - lo) * frac
+    nodes = edges[:-1, None] + widths[:, None] * np.linspace(0.0, 1.0, 2 * m + 1)
     vals = forcing.inhibition_forcing(nodes, p) * forcing.inhibition_weight(nodes, p)
-    weights = np.ones(2 * m + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = (hi - lo) / (2 * m)
-    per_interval = (h[:, 0] / 3.0) * (vals * weights).sum(axis=1)
-    q = np.concatenate([[0.0], np.cumsum(per_interval)])
+    q = np.concatenate([[0.0], np.cumsum(_simpson(vals, widths / (2 * m)))])
     if times[0] > 0.0:
         q = q[1:]
     return e0 * np.exp(-q)

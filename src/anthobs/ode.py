@@ -39,6 +39,7 @@ __all__ = [
     "UNIT",
     "model_rhs",
     "observer_rhs",
+    "rot_rate",
     "volume_gap",
     "rot_innovation",
     "growth_saturation",
@@ -93,6 +94,13 @@ class SpatialCoefficients:
 UNIT = SpatialCoefficients(1.0, 1.0, 1.0, 1.0)
 
 
+def rot_rate(t: Value, theta: Value, v: Value, rho: Value, p: ParameterSet,
+             coef: SpatialCoefficients = UNIT) -> Value:
+    """Rot-proportion rate ``q3 * rot_forcing(theta, v, rho) * (1 - rho)``: the
+    model's rate, the observer's prediction at ``theta_hat`` and the exact sensor."""
+    return coef.q3 * forcing.rot_forcing(t, theta, v, rho, p) * (1.0 - rho)
+
+
 def model_rhs(t: float, s: ModelState, p: ParameterSet,
               coef: SpatialCoefficients = UNIT) -> tuple:
     """Right-hand side ``(dtheta, dv, drho)`` of the model at every point of
@@ -112,8 +120,7 @@ def model_rhs(t: float, s: ModelState, p: ParameterSet,
     dv = coef.q2 * forcing.growth_forcing(t, s.theta, p) * (
         1.0 - s.v / (forcing.volume_capacity(t, p) * p.v_max * cap)
     )
-    drho = coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
-    return dtheta, dv, drho
+    return dtheta, dv, rot_rate(t, s.theta, s.v, s.rho, p, coef)
 
 
 def interior_indicator(x: Value) -> Value:
@@ -171,7 +178,7 @@ def observer_rhs(t: float, o: ObserverState, m: Measurement, p: ParameterSet,
     """Right-hand side ``(dtheta_hat, dv_hat)`` of the observer at every point,
     without diffusion; reads only its own state ``o`` and the measurement ``m``.
     """
-    predicted = coef.q3 * forcing.rot_forcing(t, o.theta_hat, m.v, m.rho, p) * (1.0 - m.rho)
+    predicted = rot_rate(t, o.theta_hat, m.v, m.rho, p, coef)
     a = forcing.inhibition_forcing(t, p, coef.q1)
     w = forcing.inhibition_weight(t, p, coef.u_space)
     dtheta = (
@@ -198,7 +205,7 @@ def make_measurement(t: float, s: ModelState, mode: str = "exact",
     if mode == "exact":
         if p is None:
             raise ValueError("exact mode requires the parameter set")
-        drho = coef.q3 * forcing.rot_forcing(t, s.theta, s.v, s.rho, p) * (1.0 - s.rho)
+        drho = rot_rate(t, s.theta, s.v, s.rho, p, coef)
     elif mode == "finite_difference":
         if prev is None:
             raise ValueError("finite_difference mode requires the previous sample")

@@ -38,7 +38,8 @@ class ParameterSet:
     ``b2``, ``b3`` and ``eta_star`` may be left as ``None``; they are then
     resolved from the reference formulas ``b2 = v_max*ln(1e5*v_max*(1 -
     epsilon*eta_star))/2``, ``b3 = v_max*ln(1e5*v_max)`` and ``eta_star =
-    1/(1 + epsilon)`` at construction time.
+    1/(1 + epsilon)`` at construction time; a logarithm of a nonpositive
+    number resolves to nan, and :func:`validate` reports the input at fault.
     """
 
     # seasonal forcing amplitudes / pulsations / peak times
@@ -79,13 +80,12 @@ class ParameterSet:
     def __post_init__(self) -> None:
         if self.eta_star is None:
             object.__setattr__(self, "eta_star", 1.0 / (1.0 + self.epsilon))
+        log = lambda x: math.log(x) if x > 0.0 else math.nan
         if self.b2 is None:
-            b2 = self.v_max * math.log(
-                1e5 * self.v_max * (1.0 - self.epsilon * self.eta_star)
-            ) / 2.0
+            b2 = self.v_max * log(1e5 * self.v_max * (1.0 - self.epsilon * self.eta_star)) / 2.0
             object.__setattr__(self, "b2", b2)
         if self.b3 is None:
-            object.__setattr__(self, "b3", self.v_max * math.log(1e5 * self.v_max))
+            object.__setattr__(self, "b3", self.v_max * log(1e5 * self.v_max))
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,10 @@ def validate(p: ParameterSet) -> list[Violation]:
     and are rejected by the configuration loader; soft ones note broken model
     assumptions.
     """
-    out = _check_finite(p, skip=("sigma", "dt", "k1", "k2"))
+    # b2 and b3 default to formulas in v_max and eta_star: when those are
+    # rejected, report them and not the values derived from them
+    skip_derived = () if math.isfinite(p.eta_star) and 0.0 < p.v_max < math.inf else ("b2", "b3")
+    out = _check_finite(p, skip=("sigma", "dt", "k1", "k2", *skip_derived))
     if not 0.0 < p.sigma < 1.0:
         out.append(Violation(
             "sigma",

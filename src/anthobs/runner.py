@@ -461,6 +461,10 @@ def _check_one_dir(directory: Path) -> list[str]:
     expected_cols = list(ODE_COLUMNS if s.model == "ode" else PDE_COLUMNS)
     if header != expected_cols or data.shape[1] != len(header):
         return [f"{directory}: unexpected CSV table: columns {header}, shape {data.shape}"]
+    bad = ~np.isfinite(data)
+    if bad.any():  # every comparison with nan is false, so no check below would fail
+        return [f"{directory}: column {name} is not finite at t={data[bad[:, c].argmax(), 0]:.9g}"
+                for c, name in enumerate(header) if bad[:, c].any()]
     col = dict(zip(header, data.T))
     t = col["t"]
     nine_digit_slack = 1e-7

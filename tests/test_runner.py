@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from anthobs import Grid, ParameterSet, SpatialParameterSet, SpatialSystem, WithinHostSystem
 from anthobs import runner, simulate, svgplot
 from anthobs.cli import main
-from anthobs.config import ConfigError, load_config_text, write_config
+from anthobs.config import ConfigError, load_config, load_config_text, write_config
 from anthobs.fileio import write_atomic
 from anthobs.params import gain_cap, validate_spatial
 
@@ -550,6 +553,35 @@ class TestSweepAndCheck:
         assert main(["check", str(tmp_path)]) == 1
         assert f"{len(problems)} problem(s) found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("model", ["ode", "pde"])
+    def test_nonfinite_value_reported_and_checking_goes_on(
+            self, p, tmp_path, model, value, monkeypatch, capsys):
+        # gains-on runs; every comparison with nan is false, so only an explicit
+        # finiteness check catches the damaged row of the first one
+        theta0, rho0, grid = (0.75, 0.25, {}) if model == "ode" else (0.5, 0.5, {"dim": 1, "n": 4})
+        damaged, healthy = (
+            runner.make_scenario(p, model, theta0, 0.5, rho0, k1, k2, t1=0.02, **grid)
+            for k1, k2 in ((0.0, 1e3), (1e3, 0.0)))
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=[damaged, healthy])
+        d = tmp_path / damaged.label
+        csv = d / "series.csv"
+        columns = (["theta_hat", "abs_err", "rel_err"] if model == "ode"
+                   else ["theta_hat_min", "theta_hat_mean", "theta_hat_max"])
+        row = len(csv.read_text().splitlines()) // 2
+        for name in columns:
+            self._edit_csv(csv, name, row, lambda x: value)
+        t = csv.read_text().splitlines()[row].split(",")[0]
+        checked = []
+        check_one = runner._check_one_dir
+        monkeypatch.setattr(runner, "_check_one_dir",
+                            lambda directory: checked.append(directory) or check_one(directory))
+        assert runner.check_artifacts(tmp_path) == [
+            f"{d}: column {name} is not finite at t={t}" for name in columns]
+        assert checked == [d, tmp_path / healthy.label]
+        assert main(["check", str(tmp_path)]) == 1
+        assert f"{len(columns)} problem(s) found" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt", [1 / 30000, 1 / 7000], ids=["dt_1_30000", "dt_1_7000"])
     def test_time_grid_slack_follows_csv_rounding(self, tmp_path, dt):
         q = ParameterSet(dt=dt)
@@ -660,6 +692,22 @@ class TestCli:
         assert main(["validate", str(cfg)]) == 1
         assert "gain cap" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line, message", [
+        ("v_max = -1", "v_max=-1.0 must be > 0"),
+        ("v_max = 0", "v_max=0.0 must be > 0"),
+        ("eta_star = inf", "eta_star=inf must be finite"),
+    ])
+    def test_validate_names_the_input_of_derived_forcings(self, tmp_path, capsys, line, message):
+        # b2 and b3 default to logarithms of v_max and eta_star terms
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["validate", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert f"error: {message}" in out.splitlines()
+        assert "b2" not in out and "b3" not in out
+        with pytest.raises(ConfigError, match=f"^configuration rejected: {re.escape(message)}$"):
+            load_config(cfg)
+
     def test_run_rejects_gain_cap(self, tmp_path, capsys):
         cfg = tmp_path / "cap.cfg"
         cfg.write_text("k1 = 10000\n")
@@ -731,3 +779,29 @@ class TestCli:
         monkeypatch.delenv("ANTHOBS_OUT")
         assert runner.output_root() == Path("runs")
         assert runner.output_root("explicit") == Path("explicit")
+
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import anthobs
+from anthobs import cli, runner
+p = anthobs.ParameterSet()
+scenarios = [runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.02),
+             runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, 0.0, 0.0, t1=0.01, dim=1, n=4)]
+runner.sweep("custom", p, out_dir=sys.argv[1], scenarios=scenarios)
+assert runner.check_artifacts(sys.argv[1]) == []
+assert cli.main(["validate"]) == 0
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: import, sweep, check and validate
+    src = str(Path(runner.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sorted(d.name for d in tmp_path.iterdir()) == [
+        "manifest.txt", "ode_th0.75_v0.5_rho0.25_k1_0_k2_0", "pde_th0.5_v0.5_rho0.5_k1_0_k2_0_1d4"]
