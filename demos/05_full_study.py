@@ -5,8 +5,10 @@ conditions, admissible initial rot proportions, four gain pairs), writes the
 per-scenario artifact directories, re-verifies them from disk, and prints
 the end-of-year error table grouped the way the study's figures are.
 
-The spatial matrix works the same way but takes a few minutes; run it with
-``anthobs sweep paper-pde -o runs`` (or pass workers: ``--workers 4``).
+The within-host runs of the matrix share scheme, sensor and span, so the
+sweep steps them together as one batch.  The spatial matrix works the same
+way but takes a few minutes; run it with ``anthobs sweep paper-pde -o runs``
+(``--workers 4`` runs its spatial scenarios in a process pool).
 
 Run:  python demos/05_full_study.py [output-dir]
 """

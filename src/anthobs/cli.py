@@ -23,6 +23,9 @@ from .params import validate_spatial
 
 __all__ = ["main"]
 
+WORKERS_HELP = ("processes that run the spatial scenarios; within-host scenarios"
+                " run in batches in this process")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="anthobs", description=__doc__,
@@ -35,13 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the scenarios of a configuration")
     p_run.add_argument("config")
     p_run.add_argument("-o", "--out", help="output directory root")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="run a reference study matrix")
     p_sweep.add_argument("kind", choices=["paper-ode", "paper-pde"])
     p_sweep.add_argument("--config", help="optional config overriding parameters")
     p_sweep.add_argument("-o", "--out", help="output directory root")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_check = sub.add_parser("check", help="re-verify stored run artifacts")
     p_check.add_argument("run_dir")

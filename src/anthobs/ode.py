@@ -174,17 +174,19 @@ def growth_saturation(t: Value, theta_hat: Value, v_hat: Value,
 
 
 def observer_rhs(t: float, o: ObserverState, m: Measurement, p: ParameterSet,
-                 coef: SpatialCoefficients = UNIT) -> tuple:
+                 coef: SpatialCoefficients = UNIT, gains: tuple | None = None) -> tuple:
     """Right-hand side ``(dtheta_hat, dv_hat)`` of the observer at every point,
     without diffusion; reads only its own state ``o`` and the measurement ``m``.
+    ``gains = (k1, k2)`` overrides ``p.k1, p.k2``, with one gain per point.
     """
+    k1, k2 = (p.k1, p.k2) if gains is None else gains
     predicted = rot_rate(t, o.theta_hat, m.v, m.rho, p, coef)
     a = forcing.inhibition_forcing(t, p, coef.q1)
     w = forcing.inhibition_weight(t, p, coef.u_space)
     dtheta = (
         a * (1.0 - w * o.theta_hat)
-        + p.k1 * volume_gap(o.theta_hat, o.v_hat, m.v, p.epsilon)
-        + p.k2 * rot_innovation(o.theta_hat, m.drho_dt, predicted)
+        + k1 * volume_gap(o.theta_hat, o.v_hat, m.v, p.epsilon)
+        + k2 * rot_innovation(o.theta_hat, m.drho_dt, predicted)
     )
     dv = coef.q2 * forcing.growth_forcing(t, o.theta_hat, p) * growth_saturation(
         t, o.theta_hat, o.v_hat, p

@@ -39,7 +39,8 @@ class ParameterSet:
     resolved from the reference formulas ``b2 = v_max*ln(1e5*v_max*(1 -
     epsilon*eta_star))/2``, ``b3 = v_max*ln(1e5*v_max)`` and ``eta_star =
     1/(1 + epsilon)`` at construction time; a logarithm of a nonpositive
-    number resolves to nan, and :func:`validate` reports the input at fault.
+    number, or ``1 + epsilon <= 0``, resolves to nan, and :func:`validate`
+    reports the input at fault.
     """
 
     # seasonal forcing amplitudes / pulsations / peak times
@@ -79,7 +80,8 @@ class ParameterSet:
 
     def __post_init__(self) -> None:
         if self.eta_star is None:
-            object.__setattr__(self, "eta_star", 1.0 / (1.0 + self.epsilon))
+            eta_star = 1.0 / (1.0 + self.epsilon) if 1.0 + self.epsilon > 0.0 else math.nan
+            object.__setattr__(self, "eta_star", eta_star)
         log = lambda x: math.log(x) if x > 0.0 else math.nan
         if self.b2 is None:
             b2 = self.v_max * log(1e5 * self.v_max * (1.0 - self.epsilon * self.eta_star)) / 2.0
@@ -172,10 +174,21 @@ def validate(p: ParameterSet) -> list[Violation]:
     and are rejected by the configuration loader; soft ones note broken model
     assumptions.
     """
-    # b2 and b3 default to formulas in v_max and eta_star: when those are
-    # rejected, report them and not the values derived from them
-    skip_derived = () if math.isfinite(p.eta_star) and 0.0 < p.v_max < math.inf else ("b2", "b3")
-    out = _check_finite(p, skip=("sigma", "dt", "k1", "k2", *skip_derived))
+    # eta_star defaults to a formula in epsilon, b2 and b3 to formulas in
+    # epsilon, eta_star and v_max: when those leave a default without a value,
+    # report them and not the values derived from them
+    skip = ["sigma", "dt", "k1", "k2"]
+    inputs = []
+    if not 1.0 + p.epsilon > 0.0:
+        skip.append("eta_star")
+    if not (math.isfinite(p.eta_star) and 0.0 < p.v_max < math.inf):
+        skip += ["b2", "b3"]
+    elif math.isnan(p.b2) and p.epsilon * p.eta_star >= 1.0:
+        skip.append("b2")
+        inputs.append(Violation(
+            "epsilon", f"epsilon*eta_star={p.epsilon * p.eta_star} >= 1: the reference"
+            " growth amplitude takes the logarithm of 1 - epsilon*eta_star", hard=True))
+    out = _check_finite(p, skip=skip) + inputs
     if not 0.0 < p.sigma < 1.0:
         out.append(Violation(
             "sigma",
@@ -185,9 +198,13 @@ def validate(p: ParameterSet) -> list[Violation]:
         ))
     if p.dt <= 0.0 or not math.isfinite(p.dt):
         out.append(Violation("dt", f"dt={p.dt} must be a positive finite step", hard=True))
-    if p.epsilon < 0.0:
+    if math.isfinite(p.epsilon) and 1.0 + p.epsilon <= 0.0:
+        out.append(Violation(
+            "epsilon", f"epsilon={p.epsilon} must be > -1: the volume capacity"
+            " 1/(1+epsilon) is undefined", hard=True))
+    elif p.epsilon < 0.0:
         out.append(Violation("epsilon", f"epsilon={p.epsilon} must be >= 0"))
-    if not 0.0 < p.eta_star < 1.0:
+    if "eta_star" not in skip and not 0.0 < p.eta_star < 1.0:
         out.append(Violation(
             "eta_star",
             f"eta_star={p.eta_star} must lie in ]0,1[ (lower bound of eta)"))

@@ -1,5 +1,10 @@
 """Scenario execution: the simulation study matrix, artifacts and re-checks.
 
+A sweep steps its within-host scenarios that share scheme, sensor and span
+as one batch system (:func:`_run_batch`), and runs every other scenario
+alone, spatial ones in a process pool when asked for workers.  Each member
+of a batch writes what its lone run (:func:`run_scenario`) writes.
+
 Each scenario writes one directory containing a configuration snapshot
 (``config.txt``), the recorded time series (``series.csv``, 9 significant
 digits), a key-value run summary (``record.txt``) and two SVG plots.  The
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -223,13 +229,17 @@ def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
 
 
 def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndarray,
-                         slack: float = 0.0) -> dict[str, str]:
+                         slack: float = 0.0, decay: np.ndarray | None = None) -> dict[str, str]:
     """Exact-law and squared-error envelope verdicts of the error ``e`` at times
-    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts."""
+    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts.
+    ``decay`` is the gain-free envelope of unit initial error at ``t``, which
+    depends on ``t`` and the forcings alone; it is computed here when not given."""
     checks: dict[str, str] = {"exact_law": "n/a", "decay_envelope": "n/a"}
     if s.k1 != 0.0 or s.measurement != "exact":
         return checks
-    env = metrics.envelope_series(t, p, float(e[0]))
+    if decay is None:
+        decay = metrics.envelope_series(t, p, 1.0)
+    env = float(e[0]) * decay
     if s.k2 == 0.0:
         worst = float(np.max(np.abs(e - env)))
         checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
@@ -252,12 +262,15 @@ def _envelope_checks_pde(s: Scenario, t: np.ndarray, l2_err: np.ndarray,
 
 
 def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
-              alpha_inf: float, slack: float = 0.0) -> tuple[dict[str, str], float, float]:
+              alpha_inf: float, slack: float = 0.0,
+              decay: np.ndarray | None = None) -> tuple[dict[str, str], float, float]:
     """Envelope verdicts and final absolute and relative errors of a run, read
     from its artifact columns ``col``; the run and :func:`check_artifacts` both
-    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic."""
+    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic,
+    ``decay`` as for :func:`_envelope_checks_ode`."""
     if s.model == "ode":
-        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"], slack)
+        checks = _envelope_checks_ode(
+            s, p, col["t"], col["theta"] - col["theta_hat"], slack, decay)
         return checks, float(col["abs_err"][-1]), float(col["rel_err"][-1])
     checks = _envelope_checks_pde(s, col["t"], col["l2_err"], alpha_inf, slack)
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
@@ -306,28 +319,43 @@ def run_scenario(s: Scenario, p: ParameterSet,
     p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
     sp_run = dataclasses.replace(sp or SpatialParameterSet(), base=p_run)
 
+    def outcome():
+        if s.model == "ode":
+            system = WithinHostSystem(p_run, s.theta0, s.v0, s.rho0, s.measurement)
+            traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
+            return _ode_outcome(traj, p_run)
+        grid = pde.Grid(s.dim, s.n)
+        system = SpatialSystem(sp_run, grid, s.theta0, s.v0, s.rho0, s.measurement)
+        traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
+        rows = _pde_rows(traj, metrics.error_series_pde(traj))
+        sens = _volume_sensitivity(s, sp_run, grid) if s.k1 > 0.0 else None
+        report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
+        return traj, PDE_COLUMNS, rows, report
+
+    return _conclude(s, p_run, sp_run, out_dir, t_start, outcome)
+
+
+def _ode_outcome(traj, p_run: ParameterSet):
+    """Columns, CSV rows and condition report of a within-host trajectory."""
+    rows = _ode_rows(traj, metrics.error_series_ode(traj))
+    return traj, ODE_COLUMNS, rows, ode.check_conditions(traj, p_run)
+
+
+def _conclude(s: Scenario, p_run: ParameterSet, sp_run: SpatialParameterSet | None,
+              out_dir, t_start: float, outcome, decay: np.ndarray | None = None) -> RunRecord:
+    """Take ``outcome() -> (trajectory, columns, rows, condition report)`` of
+    scenario ``s``, derive its verdicts (``decay`` as for
+    :func:`_envelope_checks_ode`) and write its directory: the artifacts, or
+    only the record of the failure that ``outcome`` or the verdicts raised."""
     directory = None
     if out_dir is not None:
         directory = Path(out_dir) / s.label
         directory.mkdir(parents=True, exist_ok=True)
 
     try:
-        if s.model == "ode":
-            system = WithinHostSystem(p_run, s.theta0, s.v0, s.rho0, s.measurement)
-            traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
-            rows = _ode_rows(traj, metrics.error_series_ode(traj))
-            report = ode.check_conditions(traj, p_run)
-            columns = ODE_COLUMNS
-        else:
-            grid = pde.Grid(s.dim, s.n)
-            system = SpatialSystem(sp_run, grid, s.theta0, s.v0, s.rho0, s.measurement)
-            traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
-            rows = _pde_rows(traj, metrics.error_series_pde(traj))
-            sens = _volume_sensitivity(s, sp_run, grid) if s.k1 > 0.0 else None
-            report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
-            columns = PDE_COLUMNS
+        traj, columns, rows, report = outcome()
         checks, final_abs_err, final_rel_err = _verdicts(
-            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
+            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf, decay=decay)
     except Exception as exc:  # recorded, batch continues
         record = RunRecord(
             scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
@@ -361,6 +389,35 @@ def run_scenario(s: Scenario, p: ParameterSet,
         for kind in PLOTS:
             emit_plot(directory, kind)
     return record
+
+
+def _run_batch(batch: list[Scenario], p: ParameterSet, out_dir) -> list[RunRecord]:
+    """Run within-host scenarios that share scheme, sensor and span as one
+    system with a member per scenario; each member's artifacts and record are
+    those of :func:`run_scenario` on it alone.  When the batch is refused or its
+    stepping raises, every member runs alone, so a failing scenario fails by
+    itself with the error of its lone run."""
+    first = batch[0]
+    t_start = time.perf_counter()
+    try:
+        column = lambda key: [getattr(s, key) for s in batch]
+        system = WithinHostSystem(
+            p, column("theta0"), column("v0"), column("rho0"), first.measurement,
+            gains=(np.array(column("k1")), np.array(column("k2"))))
+        traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE)
+        # the gain-free envelopes of all members, up to their initial errors
+        gain_free = first.measurement == "exact" and 0.0 in column("k1")
+        decay = metrics.envelope_series(traj.times, p, 1.0) if gain_free else None
+    except Exception:
+        return [run_scenario(s, p, None, out_dir) for s in batch]
+    share = (time.perf_counter() - t_start) / len(batch)  # of each member's wall clock
+    records = []
+    for j, s in enumerate(batch):
+        p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
+        outcome = functools.partial(_ode_outcome, traj.member(j), p_run)
+        records.append(_conclude(s, p_run, None, out_dir, time.perf_counter() - share,
+                                 outcome, decay))
+    return records
 
 
 def _write_record(path: Path, r: RunRecord) -> None:
@@ -399,14 +456,29 @@ def _run_one(args) -> RunRecord:
     return run_scenario(s, p, sp, out_dir)
 
 
+def _batches(scenarios: list[Scenario]) -> tuple[list[list[int]], list[int]]:
+    """Indices of the within-host scenarios that share scheme, sensor and span,
+    one list per batch, and of every other scenario."""
+    groups: dict[object, list[int]] = {}
+    for i, s in enumerate(scenarios):
+        key = (s.scheme, s.measurement, s.t0, s.t1) if s.model == "ode" else i
+        groups.setdefault(key, []).append(i)
+    # a batch of one costs more than the float path of its lone run
+    return ([idx for idx in groups.values() if len(idx) > 1],
+            [idx[0] for idx in groups.values() if len(idx) == 1])
+
+
 def sweep(kind: str, p: ParameterSet | None = None,
           sp: SpatialParameterSet | None = None,
           out_dir: str | Path | None = None, workers: int = 1,
           scenarios: list[Scenario] | None = None) -> list[RunRecord]:
     """Run a scenario matrix (or an explicit scenario list) into ``out_dir``.
 
-    With ``workers > 1`` scenarios execute in a process pool; every scenario
-    owns its output directory, so results are identical to a serial run.
+    Within-host scenarios that share scheme, sensor and span run in batches,
+    each stepped as one system in this process (:func:`_run_batch`); the
+    others run one by one, with ``workers > 1`` in a process pool.  Every
+    scenario owns its output directory and writes what its lone run writes,
+    so results are identical to a serial run of :func:`run_scenario`.
     Raises ``ValueError`` before any run when two scenarios share a label,
     since they would write into the same directory.
     """
@@ -418,12 +490,19 @@ def sweep(kind: str, p: ParameterSet | None = None,
         raise ValueError(f"scenario label {repeated[0]!r} names more than one scenario")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    jobs = [(s, p, sp, out_dir) for s in scenarios]
+    batches, alone = _batches(scenarios)
+    records: list[RunRecord | None] = [None] * len(scenarios)
+    for batch in batches:
+        for i, record in zip(batch, _run_batch([scenarios[i] for i in batch], p, out_dir)):
+            records[i] = record
+    jobs = [(scenarios[i], p, sp, out_dir) for i in alone]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, jobs))
+            done = list(pool.map(_run_one, jobs))
     else:
-        records = [_run_one(job) for job in jobs]
+        done = [_run_one(job) for job in jobs]
+    for i, record in zip(alone, done):
+        records[i] = record
     if out_dir is not None:
         manifest = [f"{r.scenario.label} {r.status}" for r in records]
         write_atomic(Path(out_dir) / "manifest.txt", "\n".join(manifest) + "\n")

@@ -12,11 +12,17 @@ aborts the run, since the continuous dynamics cannot leave the box and a
 larger excursion signals an unstable step size.
 
 One loop serves both models; the kind of the initial state picks its step
-and clamp kernels once per run.  A within-host system (a 1-D initial state)
-runs on tuples of floats, a field system on stacked numpy arrays with the
-component axis first.  The two kernel kinds perform identical IEEE
-arithmetic and are cross-checked in the test suite.  Recorded samples are
-written straight into the preallocated trajectory arrays.
+and clamp kernels once per run.  A lone within-host run (a 1-D initial
+state) runs on tuples of floats; a field system, or a batch of within-host
+runs, on numpy arrays with the component axis first.  The two kernel kinds
+perform identical IEEE arithmetic, so member ``j`` of a batch records what
+the lone run of member ``j`` records, bit for bit; the test suite
+cross-checks them.  Recorded samples are written straight into the
+preallocated trajectory arrays.
+
+The overshoot is reduced over the state axes that the box bounds do not
+span (the grid axes of a field).  A batch's bounds span its member axis
+with a unit axis, so each member keeps the overshoot of its own run.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "step_rk4",
     "simulate",
     "check_run",
+    "members",
     "Trajectory",
     "NonFiniteError",
     "OvershootError",
@@ -66,21 +73,24 @@ def _require_finite(d, t: float, what: str) -> None:
 
 
 def step_euler(rhs, t: float, state, dt: float):
-    """One explicit Euler step: ``state + dt * rhs(t, state)``."""
-    d = rhs(t, state)
+    """One explicit Euler step: ``state + dt * rhs(t, state)``.
+
+    ``rhs`` returns an array, or a sequence of component arrays (the
+    within-host right-hand sides on a batch), like ``state``."""
+    d = np.asarray(rhs(t, state))
     _require_finite(d, t, "derivative")
     return state + dt * d
 
 
 def step_rk4(rhs, t: float, state, dt: float):
-    """One classical 4-stage Runge-Kutta step."""
-    k1 = rhs(t, state)
+    """One classical 4-stage Runge-Kutta step; ``rhs`` as for :func:`step_euler`."""
+    k1 = np.asarray(rhs(t, state))
     _require_finite(k1, t, "derivative (stage 1)")
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
+    k2 = np.asarray(rhs(t + 0.5 * dt, state + 0.5 * dt * k1))
     _require_finite(k2, t, "derivative (stage 2)")
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
+    k3 = np.asarray(rhs(t + 0.5 * dt, state + 0.5 * dt * k2))
     _require_finite(k3, t, "derivative (stage 3)")
-    k4 = rhs(t + dt, state + dt * k3)
+    k4 = np.asarray(rhs(t + dt, state + dt * k3))
     _require_finite(k4, t, "derivative (stage 4)")
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -104,7 +114,9 @@ class Trajectory:
     holding ``(theta_hat, v_hat)``; ``measurements`` holds ``(v, rho, drho_dt)``
     as consumed by the observer at each recorded time; both are ``None`` for
     truth-only runs.  ``overshoot`` maps component names to the largest
-    pre-clamp excursion outside the box seen anywhere in the run.
+    pre-clamp excursion outside the box seen anywhere in the run.  A batch
+    run adds a member axis after the component axis, and its ``overshoot``
+    holds one value per member; :meth:`member` takes one member's run.
     """
 
     times: np.ndarray
@@ -116,6 +128,15 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def member(self, j: int) -> "Trajectory":
+        """Member ``j`` of a batch run: the records of that member's run alone."""
+        pick = lambda a: None if a is None else a[:, :, j]
+        return Trajectory(
+            times=self.times, truth=pick(self.truth), observer=pick(self.observer),
+            measurements=pick(self.measurements),
+            overshoot={name: float(v[j]) for name, v in self.overshoot.items()},
+            meta=self.meta)
 
 
 def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float) -> None:
@@ -135,8 +156,17 @@ def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float
         raise ValueError(violations[0].message)
 
 
+def members(*values):
+    """The per-member tuples of ``values``: the floats of one run, or equal-length
+    sequences with one entry per member of a batch."""
+    return zip(*values) if np.ndim(values[0]) else [values]
+
+
 def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
-    check_run(t0, t1, dt, scheme, system.p.k1, system.p.k2)
+    # a system's own gains, per member of a batch, or else those of its parameters
+    gains = (system.p.k1, system.p.k2) if system.gains is None else system.gains
+    for k1, k2 in members(*gains):
+        check_run(t0, t1, dt, scheme, k1, k2)
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     cfl = system.cfl_limit()
@@ -161,13 +191,17 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     than ``OVERSHOOT_LIMIT``.
     """
     n_steps = _validate_run(system, t0, t1, dt, scheme, record_stride)
-    if np.ndim(system.truth0) == 1:  # a handful of scalar components
-        step, clamp_state = _FLOAT_STEPPERS[scheme], _clamp_floats
-        as_state = _floats
-    else:  # component axis first, then the grid axes
-        step, clamp_state = _STEPPERS[scheme], _clamp_array
-        as_state = np.asarray
     names = system.component_names
+    if np.ndim(system.truth0) == 1:  # a handful of scalar components
+        step, clamp_state, track = _FLOAT_STEPPERS[scheme], _clamp_floats, _track_floats
+        as_state = _floats
+        max_over = [0.0] * len(names)
+    else:  # component axis first, then a member axis or the grid axes
+        step, clamp_state, track = _STEPPERS[scheme], _clamp_array, _track_array
+        as_state = np.asarray
+        # one overshoot per component and member: the axes the bounds span
+        spanned = np.ndim(system.truth_bounds[0])
+        max_over = np.zeros((len(names), *np.shape(system.truth0)[1:spanned]))
     truth = as_state(system.truth0)
     obs = None if truth_only else as_state(system.observer0)
     t_lo, t_hi = (as_state(b) for b in system.truth_bounds)
@@ -182,7 +216,6 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     # no observer reads the measurement of a truth-only run: none is taken
     obs_rec = None if truth_only else np.empty((n_rec, *np.shape(obs)))
     meas_rec = None if truth_only else np.empty_like(truth_rec)
-    max_over = [0.0] * len(names)
     prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
@@ -212,41 +245,45 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
         if obs is not None:
             obs, over_o = clamp_state(new_obs, o_lo, o_hi, clamp)
             over = (*over, *over_o)
-        worst = 0.0
-        for i, ov in enumerate(over):
-            if ov > max_over[i]:
-                max_over[i] = ov
-            if ov > worst:
-                worst = ov
-        if worst > OVERSHOOT_LIMIT:
-            idx = max(range(len(max_over)), key=max_over.__getitem__)
+        if track(max_over, over) > OVERSHOOT_LIMIT:
+            peaks = [float(np.max(v)) for v in max_over]
+            idx = peaks.index(max(peaks))
             raise OvershootError(
                 f"component {names[idx]!r} overshot its box by "
-                f"{max_over[idx]:.3e} (> {OVERSHOOT_LIMIT}) at t={t + dt}")
+                f"{peaks[idx]:.3e} (> {OVERSHOOT_LIMIT}) at t={t + dt}")
 
     return Trajectory(
         times=times,
         truth=truth_rec,
         observer=obs_rec,
         measurements=meas_rec,
-        overshoot={name: float(v) for name, v in zip(names, max_over)},
+        overshoot={name: v if np.ndim(v) else float(v) for name, v in zip(names, max_over)},
         meta={"scheme": scheme, "dt": dt, "t0": t0, "t1": t0 + n_steps * dt,
               "record_stride": record_stride, "clamp": clamp},
     )
 
 
 def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, apply: bool):
-    """Clamp a stacked field state componentwise; return (state, per-component
-    overshoot)."""
-    axes = tuple(range(1, state.ndim))
+    """Clamp a stacked state componentwise; return (state, overshoot per
+    component and member), reduced over the axes the bounds do not span."""
+    axes = tuple(range(lo.ndim, state.ndim))
     over = np.maximum(
         0.0,
         np.maximum(lo - state.min(axis=axes), state.max(axis=axes) - hi),
     )
     if apply and over.max() > 0.0:
-        shape = (-1,) + (1,) * (state.ndim - 1)
+        shape = lo.shape + (1,) * (state.ndim - lo.ndim)
         state = np.clip(state, lo.reshape(shape), hi.reshape(shape))
     return state, over
+
+
+def _track_array(max_over: np.ndarray, over) -> float:
+    """Fold one step's overshoot, of the truth's components alone in a
+    truth-only run, into the run's maxima; return its worst."""
+    over = np.array(over)
+    seen = max_over[:len(over)]
+    np.maximum(seen, over, out=seen)
+    return over.max()
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +325,13 @@ def _clamp_floats(state, lo, hi, apply):
     if apply and max(over) > 0.0:
         state = tuple(min(max(x, l), h) for x, l, h in zip(state, lo, hi))
     return state, over
+
+
+def _track_floats(max_over: list, over) -> float:
+    worst = 0.0
+    for i, ov in enumerate(over):
+        if ov > max_over[i]:
+            max_over[i] = ov
+        if ov > worst:
+            worst = ov
+    return worst

@@ -9,6 +9,12 @@ within-host system; the grid profiles on fields for the spatial system, which
 adds diffusion to the inhibition rate and stacks the components, component
 axis first, then the grid axes.  The integrator reads the kind from the
 initial state and drives both models with the same loop.
+
+A within-host system also takes a batch: equal-length arrays of initial
+values and gains, one entry per member.  Its states are then arrays with
+the component axis first and the member axis second, stepped by the
+integrator's array kernels through the same right-hand sides, and its box
+bounds span the member axis, so each member keeps its own overshoot.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import ode, pde
 from .params import ParameterSet, SpatialParameterSet
-from .stepping import cfl_step_limit
+from .stepping import cfl_step_limit, members
 
 __all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES", "check_inputs",
            "state_box"]
@@ -61,25 +67,33 @@ class WithinHostSystem:
     Truth state is ``(theta, v, rho)``; observer state is
     ``(theta_hat, v_hat)`` with the fixed initialisation ``theta_hat(0) = 0``
     and ``v_hat(0) = v(0)`` assumed by the convergence analysis.
+
+    ``theta0``, ``v0`` and ``rho0`` are floats for one run, or equal-length
+    sequences for a batch; a batch takes its observer gains per member as
+    ``gains = (k1, k2)``, two arrays.  ``gains = None`` reads ``p.k1`` and ``p.k2``.
     """
 
     component_names = COMPONENTS
     coef = ode.UNIT
 
-    def __init__(self, p: ParameterSet, theta0: float, v0: float, rho0: float,
-                 measurement_mode: str = "exact"):
-        check_inputs(p, theta0, v0, rho0, measurement_mode)
+    def __init__(self, p: ParameterSet, theta0, v0, rho0,
+                 measurement_mode: str = "exact", gains=None):
+        for member in members(theta0, v0, rho0):
+            check_inputs(p, *member, measurement_mode)
         self.p = p
+        self.gains = gains
         self.measurement_mode = measurement_mode
         self.truth0 = np.array([theta0, v0, rho0])
-        self.observer0 = np.array([0.0, v0])
+        self.observer0 = np.array([np.zeros_like(self.truth0[1]), self.truth0[1]])
         lo, hi = state_box(p)
+        if self.truth0.ndim > 1:  # span the member axis: each member keeps its overshoot
+            lo, hi = lo[:, None], hi[:, None]
         self.truth_bounds, self.observer_bounds = (lo[:3], hi[:3]), (lo[3:], hi[3:])
 
     def cfl_limit(self):
         return None
 
-    # states and measurements are tuples of floats
+    # states and measurements are tuples of floats, or of member arrays
 
     def truth_rhs(self, t: float, y: tuple) -> tuple:
         return ode.model_rhs(t, ode.ModelState(*y), self.p, self.coef)
@@ -92,7 +106,7 @@ class WithinHostSystem:
 
     def observer_rhs(self, t: float, z: tuple, m: tuple) -> tuple:
         return ode.observer_rhs(
-            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef)
+            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef, self.gains)
 
 
 class SpatialSystem:
@@ -103,6 +117,7 @@ class SpatialSystem:
     """
 
     component_names = COMPONENTS
+    gains = None
 
     def __init__(self, sp: SpatialParameterSet, grid: pde.Grid,
                  theta0: float, v0: float, rho0: float,

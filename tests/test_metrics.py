@@ -101,6 +101,13 @@ class TestEnvelopeSeries:
         with pytest.raises(ValueError):
             envelope_series(np.array([0.5, 0.2]), p, 1.0)
 
+    @pytest.mark.parametrize("e0", [0.75, 0.3, 1e-3, 0.05 - 0.0437])
+    def test_scales_with_the_initial_error(self, p, e0):
+        # a sweep computes the unit envelope once for the runs that share their times
+        for times in (np.linspace(0.0, 1.0, 1001), np.linspace(0.4, 0.41, 11)):
+            assert np.array_equal(envelope_series(times, p, e0),
+                                  e0 * envelope_series(times, p, 1.0))
+
 
 class TestL2Envelope:
     def test_flat_bound(self):

@@ -1,5 +1,6 @@
 """Configuration files, scenario matrix, artifacts, re-checks and the CLI."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -616,6 +618,127 @@ class TestSweepAndCheck:
         assert not (tmp_path / "out").exists()
 
 
+#: The initial triples of the reference within-host study, and short spans.
+ODE_TRIPLES = sorted({(s.theta0, s.v0, s.rho0)
+                      for s in runner.scenario_matrix("paper-ode", ParameterSet())})
+SHORT_SPANS = ((0.0, 0.01), (0.0, 0.02), (0.4, 0.41))
+
+
+@st.composite
+def within_host_sweeps(draw):
+    """Within-host scenarios of the reference study in a drawn order: at least
+    two that share scheme, sensor and span, and others drawn freely, over both
+    schemes, both sensors, the four gain pairs and short spans."""
+    p = ParameterSet()
+    run = st.tuples(st.sampled_from(ODE_TRIPLES), st.sampled_from(runner.GAIN_PAIRS))
+    numerics = st.tuples(st.sampled_from(["euler", "rk4"]),
+                         st.sampled_from(["exact", "finite_difference"]),
+                         st.sampled_from(SHORT_SPANS))
+
+    def make(run, numerics):
+        (triple, gains), (scheme, sensor, (t0, t1)) = run, numerics
+        return runner.make_scenario(p, "ode", *triple, *gains, scheme=scheme,
+                                    measurement=sensor, t0=t0, t1=t1)
+
+    shared = draw(numerics)
+    batch = [make(r, shared) for r in draw(st.lists(run, min_size=2, max_size=6, unique=True))]
+    others = [make(*x) for x in draw(st.lists(st.tuples(run, numerics), max_size=4))]
+    labels = {s.label for s in batch}
+    for s in others:  # one scenario per label
+        if s.label not in labels:
+            labels.add(s.label)
+            batch.append(s)
+    return draw(st.permutations(batch))
+
+
+def _artifacts(directory: Path) -> dict[str, bytes]:
+    """Every file of a scenario directory; ``record.txt`` without its wall clock."""
+    out = {}
+    for f in sorted(directory.iterdir()):
+        data = f.read_bytes()
+        if f.name == "record.txt":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"wall_clock_s"))
+        out[f.name] = data
+    return out
+
+
+def _sweep_and_lone_runs(p, scenarios, root: Path, monkeypatch):
+    """Sweep ``scenarios`` into ``root/sweep`` and run each alone into
+    ``root/lone``; return the records of both and the member counts of the
+    systems the sweep stepped (0 for a lone run)."""
+    members = []
+
+    def spy(system, *args, **kwargs):
+        members.append(np.shape(system.truth0)[1] if np.ndim(system.truth0) > 1 else 0)
+        return simulate(system, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate", spy)
+    records = runner.sweep("custom", p, out_dir=root / "sweep", scenarios=scenarios)
+    monkeypatch.setattr(runner, "simulate", simulate)
+    return records, [runner.run_scenario(s, p, out_dir=root / "lone") for s in scenarios], members
+
+
+class TestBatchedSweep:
+    """A sweep steps its within-host scenarios in batches; each scenario still
+    writes what its lone run writes."""
+
+    @given(scenarios=within_host_sweeps())
+    @settings(max_examples=30, deadline=None)
+    def test_each_scenario_writes_its_lone_run(self, p, scenarios):
+        shared = collections.Counter((s.scheme, s.measurement, s.t0, s.t1) for s in scenarios)
+        batches = sorted(n for n in shared.values() if n > 1)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            records, _, members = _sweep_and_lone_runs(p, scenarios, root, mp)
+            assert sorted(m for m in members if m) == batches
+            assert [r.status for r in records] == ["ok"] * len(scenarios)
+            for s in scenarios:
+                swept = _artifacts(root / "sweep" / s.label)
+                assert set(swept) == {"config.txt", "series.csv", "record.txt",
+                                      "estimate.svg", "error.svg"}
+                assert swept == _artifacts(root / "lone" / s.label), s.label
+
+    @pytest.mark.parametrize("case", ["gain_over_cap", "overshoot", "clamped"])
+    def test_a_failing_member_fails_alone(self, p, tmp_path, monkeypatch, case):
+        # theta0 = 1 puts a member on the top of its box; a push of 0.05 per
+        # unit time overshoots by 5e-6 a step (fatal), one of 5e-3 by 5e-7 (clamped)
+        scenarios = [runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, k1, k2, t1=0.01)
+                     for k1, k2 in runner.GAIN_PAIRS]
+        if case == "gain_over_cap":  # built directly: make_scenario refuses it
+            odd = runner.Scenario("ode", 0.5, 0.5, 0.25, 0.0, 2 * gain_cap(p.dt), t1=0.01)
+        else:
+            odd = runner.make_scenario(p, "ode", 1.0, 0.5, 0.25, 0.0, 1e3, t1=0.01)
+            rate = 0.05 if case == "overshoot" else 5e-3
+
+            class Pushed(WithinHostSystem):
+                """Pushes theta upwards wherever it sits on the top of its box."""
+
+                def truth_rhs(self, t, y):
+                    dtheta, dv, drho = super().truth_rhs(t, y)
+                    return dtheta + rate * (y[0] >= 1.0), dv, drho
+            monkeypatch.setattr(runner, "WithinHostSystem", Pushed)
+        scenarios.insert(2, odd)
+        records, lone, members = _sweep_and_lone_runs(p, scenarios, tmp_path, monkeypatch)
+        assert members[0] == len(scenarios)  # the batch was stepped as one system
+        failing = odd if case != "clamped" else None
+        for r, alone, s in zip(records, lone, scenarios):
+            assert r.status == alone.status == ("failed" if s is failing else "ok")
+            assert r.error == alone.error
+            assert _artifacts(tmp_path / "sweep" / s.label) == _artifacts(
+                tmp_path / "lone" / s.label)
+        if failing is not None:
+            assert [f.name for f in (tmp_path / "sweep" / odd.label).iterdir()] == ["record.txt"]
+            message = "gain cap exceeded" if case == "gain_over_cap" else "overshot its box"
+            assert message in records[2].error
+        else:  # the clamp of one member leaves the others' overshoot at 0
+            assert records[2].overshoot["theta"] > 0.0
+            assert all(v == 0.0 for r in records if r is not records[2]
+                       for v in r.overshoot.values())
+        manifest = (tmp_path / "sweep" / "manifest.txt").read_text().splitlines()
+        assert manifest == [f"{r.scenario.label} {r.status}" for r in records]
+
+
 class TestAtomicWrites:
     @staticmethod
     def _fail_midway(monkeypatch):
@@ -696,6 +819,12 @@ class TestCli:
         ("v_max = -1", "v_max=-1.0 must be > 0"),
         ("v_max = 0", "v_max=0.0 must be > 0"),
         ("eta_star = inf", "eta_star=inf must be finite"),
+        # eta_star defaults to 1/(1+epsilon)
+        ("epsilon = -1",
+         "epsilon=-1.0 must be > -1: the volume capacity 1/(1+epsilon) is undefined"),
+        ("epsilon = 5\neta_star = 0.99",
+         "epsilon*eta_star=4.95 >= 1: the reference growth amplitude takes the"
+         " logarithm of 1 - epsilon*eta_star"),
     ])
     def test_validate_names_the_input_of_derived_forcings(self, tmp_path, capsys, line, message):
         # b2 and b3 default to logarithms of v_max and eta_star terms

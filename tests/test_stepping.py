@@ -259,6 +259,46 @@ class TestSimulate:
             assert np.array_equal(traj.truth, full.truth)
 
 
+class TestBatch:
+    """A within-host system with a member axis steps each member as its lone run."""
+
+    TRIPLES = [(0.75, 0.5, 0.25), (1.0, 0.5, 0.25), (0.05, 0.05, 0.05)]
+    GAINS = [(0.0, 0.0), (0.0, 1e3), (1e3, 1e3)]
+
+    @staticmethod
+    def _batch(cls, p, triples, gains, mode="exact"):
+        return cls(p, *zip(*triples), mode, gains=tuple(np.array(g) for g in zip(*gains)))
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("mode", ["exact", "finite_difference"])
+    def test_members_record_their_lone_runs(self, p, scheme, mode):
+        # theta0 = 1 and a push: that member alone is clamped, below the limit
+        class Pushed(WithinHostSystem):
+            def truth_rhs(self, t, y):
+                dtheta, dv, drho = super().truth_rhs(t, y)
+                return dtheta + 5e-3 * (y[0] >= 1.0), dv, drho
+
+        batch = self._batch(Pushed, p, self.TRIPLES, self.GAINS, mode)
+        traj = simulate(batch, 0.0, 0.02, 1e-4, scheme, record_stride=3)
+        for j, (triple, (k1, k2)) in enumerate(zip(self.TRIPLES, self.GAINS)):
+            lone = simulate(Pushed(replace(p, k1=k1, k2=k2), *triple, mode),
+                            0.0, 0.02, 1e-4, scheme, record_stride=3)
+            member = traj.member(j)
+            for name in ("times", "truth", "observer", "measurements"):
+                assert np.array_equal(getattr(member, name), getattr(lone, name)), name
+            assert member.overshoot == lone.overshoot
+        assert list(traj.overshoot["theta"] > 0.0) == [False, True, False]
+
+    def test_every_member_admitted(self, p):
+        with pytest.raises(ValueError, match=r"theta0=1\.5"):
+            self._batch(WithinHostSystem, p, [*self.TRIPLES, (1.5, 0.5, 0.25)],
+                        [*self.GAINS, (0.0, 0.0)])
+        batch = self._batch(WithinHostSystem, p, self.TRIPLES,
+                            [(0.0, 0.0), (0.0, 2e3), (1e3, 1e3)])
+        with pytest.raises(ValueError, match="gain cap exceeded: max\\(k1,k2\\)=2000"):
+            simulate(batch, 0.0, 0.01, 1e-4)
+
+
 class TestCflLimit:
     def test_no_diffusion_unbounded(self):
         assert cfl_step_limit(0.1, 2, 0.0) == math.inf
