@@ -42,6 +42,9 @@ REL_ERR_FLOOR = 1e-3
 #: reference step 1e-4.
 ENVELOPE_TOL = 1e-3
 
+#: Intervals whose Simpson nodes :func:`envelope_series` evaluates at once.
+ENVELOPE_BLOCK = 64
+
 
 def relative_abs_error(theta, theta_hat, floor: float = REL_ERR_FLOOR):
     """Floored relative error ``|theta - theta_hat| / max(|theta|, floor)``.
@@ -127,8 +130,8 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float,
 
     Equivalent to calling :func:`analytic_envelope` at each element of
     ``times`` (validated against it in the test suite) but evaluated with a
-    cumulative per-interval Simpson rule, so a whole 1001-sample year costs
-    one vectorised pass.
+    cumulative per-interval Simpson rule, vectorised over blocks of
+    ``ENVELOPE_BLOCK`` intervals.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -139,10 +142,16 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float,
     widths = np.diff(edges)
     # keep sub-panels below ~2e-5 so coarse recording grids stay accurate
     m = max(panels_per_interval, int(math.ceil(widths.max(initial=0.0) * 2.5e4)))
-    # Simpson nodes for each interval: shape (n_intervals, 2m+1)
-    nodes = edges[:-1, None] + widths[:, None] * np.linspace(0.0, 1.0, 2 * m + 1)
-    vals = forcing.inhibition_forcing(nodes, p) * forcing.inhibition_weight(nodes, p)
-    q = np.concatenate([[0.0], np.cumsum(_simpson(vals, widths / (2 * m)))])
+    # Simpson nodes of a block of intervals at a time, shape (block, 2m+1): the
+    # nodes of a whole year at once hold several MB of temporaries
+    starts, spacing = edges[:-1], np.linspace(0.0, 1.0, 2 * m + 1)
+    integrals = np.empty(len(widths))
+    for i in range(0, len(widths), ENVELOPE_BLOCK):
+        block = slice(i, i + ENVELOPE_BLOCK)
+        nodes = starts[block, None] + widths[block, None] * spacing
+        vals = forcing.inhibition_forcing(nodes, p) * forcing.inhibition_weight(nodes, p)
+        integrals[block] = _simpson(vals, widths[block] / (2 * m))
+    q = np.concatenate([[0.0], np.cumsum(integrals)])
     if times[0] > 0.0:
         q = q[1:]
     return e0 * np.exp(-q)

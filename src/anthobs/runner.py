@@ -229,17 +229,13 @@ def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
 
 
 def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndarray,
-                         slack: float = 0.0, decay: np.ndarray | None = None) -> dict[str, str]:
+                         slack: float = 0.0) -> dict[str, str]:
     """Exact-law and squared-error envelope verdicts of the error ``e`` at times
-    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts.
-    ``decay`` is the gain-free envelope of unit initial error at ``t``, which
-    depends on ``t`` and the forcings alone; it is computed here when not given."""
+    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts."""
     checks: dict[str, str] = {"exact_law": "n/a", "decay_envelope": "n/a"}
     if s.k1 != 0.0 or s.measurement != "exact":
         return checks
-    if decay is None:
-        decay = metrics.envelope_series(t, p, 1.0)
-    env = float(e[0]) * decay
+    env = metrics.envelope_series(t, p, float(e[0]))
     if s.k2 == 0.0:
         worst = float(np.max(np.abs(e - env)))
         checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
@@ -262,15 +258,12 @@ def _envelope_checks_pde(s: Scenario, t: np.ndarray, l2_err: np.ndarray,
 
 
 def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
-              alpha_inf: float, slack: float = 0.0,
-              decay: np.ndarray | None = None) -> tuple[dict[str, str], float, float]:
+              alpha_inf: float, slack: float = 0.0) -> tuple[dict[str, str], float, float]:
     """Envelope verdicts and final absolute and relative errors of a run, read
     from its artifact columns ``col``; the run and :func:`check_artifacts` both
-    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic,
-    ``decay`` as for :func:`_envelope_checks_ode`."""
+    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic."""
     if s.model == "ode":
-        checks = _envelope_checks_ode(
-            s, p, col["t"], col["theta"] - col["theta_hat"], slack, decay)
+        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"], slack)
         return checks, float(col["abs_err"][-1]), float(col["rel_err"][-1])
     checks = _envelope_checks_pde(s, col["t"], col["l2_err"], alpha_inf, slack)
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
@@ -342,11 +335,10 @@ def _ode_outcome(traj, p_run: ParameterSet):
 
 
 def _conclude(s: Scenario, p_run: ParameterSet, sp_run: SpatialParameterSet | None,
-              out_dir, t_start: float, outcome, decay: np.ndarray | None = None) -> RunRecord:
+              out_dir, t_start: float, outcome) -> RunRecord:
     """Take ``outcome() -> (trajectory, columns, rows, condition report)`` of
-    scenario ``s``, derive its verdicts (``decay`` as for
-    :func:`_envelope_checks_ode`) and write its directory: the artifacts, or
-    only the record of the failure that ``outcome`` or the verdicts raised."""
+    scenario ``s``, derive its verdicts and write its directory: the artifacts,
+    or only the record of the failure that ``outcome`` or the verdicts raised."""
     directory = None
     if out_dir is not None:
         directory = Path(out_dir) / s.label
@@ -355,7 +347,7 @@ def _conclude(s: Scenario, p_run: ParameterSet, sp_run: SpatialParameterSet | No
     try:
         traj, columns, rows, report = outcome()
         checks, final_abs_err, final_rel_err = _verdicts(
-            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf, decay=decay)
+            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
     except Exception as exc:  # recorded, batch continues
         record = RunRecord(
             scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
@@ -405,9 +397,6 @@ def _run_batch(batch: list[Scenario], p: ParameterSet, out_dir) -> list[RunRecor
             p, column("theta0"), column("v0"), column("rho0"), first.measurement,
             gains=(np.array(column("k1")), np.array(column("k2"))))
         traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE)
-        # the gain-free envelopes of all members, up to their initial errors
-        gain_free = first.measurement == "exact" and 0.0 in column("k1")
-        decay = metrics.envelope_series(traj.times, p, 1.0) if gain_free else None
     except Exception:
         return [run_scenario(s, p, None, out_dir) for s in batch]
     share = (time.perf_counter() - t_start) / len(batch)  # of each member's wall clock
@@ -416,7 +405,7 @@ def _run_batch(batch: list[Scenario], p: ParameterSet, out_dir) -> list[RunRecor
         p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
         outcome = functools.partial(_ode_outcome, traj.member(j), p_run)
         records.append(_conclude(s, p_run, None, out_dir, time.perf_counter() - share,
-                                 outcome, decay))
+                                 outcome))
     return records
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anthobs import metrics
 from anthobs import (
     analytic_envelope,
     envelope_check,
@@ -101,12 +102,15 @@ class TestEnvelopeSeries:
         with pytest.raises(ValueError):
             envelope_series(np.array([0.5, 0.2]), p, 1.0)
 
-    @pytest.mark.parametrize("e0", [0.75, 0.3, 1e-3, 0.05 - 0.0437])
-    def test_scales_with_the_initial_error(self, p, e0):
-        # a sweep computes the unit envelope once for the runs that share their times
-        for times in (np.linspace(0.0, 1.0, 1001), np.linspace(0.4, 0.41, 11)):
-            assert np.array_equal(envelope_series(times, p, e0),
-                                  e0 * envelope_series(times, p, 1.0))
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 1001), np.linspace(0.3, 0.9, 65),
+                                       np.array([0.0]), np.array([0.2])])
+    def test_blocks_of_intervals_leave_the_value(self, p, times, monkeypatch):
+        # one block of every interval is the rule on all Simpson nodes at once
+        monkeypatch.setattr(metrics, "ENVELOPE_BLOCK", len(times) + 1)
+        whole = envelope_series(times, p, 0.75)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(metrics, "ENVELOPE_BLOCK", block)
+            assert np.array_equal(envelope_series(times, p, 0.75), whole)
 
 
 class TestL2Envelope:
