@@ -23,8 +23,8 @@ from .params import validate_spatial
 
 __all__ = ["main"]
 
-WORKERS_HELP = ("processes that run the spatial scenarios; within-host scenarios"
-                " run in batches in this process")
+WORKERS_HELP = ("processes that run the sweep's groups: each batch of within-host"
+                " scenarios that share scheme, sensor and span, and each spatial scenario")
 
 
 def _build_parser() -> argparse.ArgumentParser:

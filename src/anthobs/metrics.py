@@ -44,6 +44,8 @@ ENVELOPE_TOL = 1e-3
 
 #: Intervals whose Simpson nodes :func:`envelope_series` evaluates at once.
 ENVELOPE_BLOCK = 64
+#: Fewest Simpson panels of :func:`envelope_series` per recorded interval.
+ENVELOPE_PANELS = 64
 
 
 def relative_abs_error(theta, theta_hat, floor: float = REL_ERR_FLOOR):
@@ -124,8 +126,7 @@ def analytic_envelope(t: float, alpha_fn, w_fn, e0: float,
     return e0 * math.exp(-q)
 
 
-def envelope_series(times: np.ndarray, p: ParameterSet, e0: float,
-                    panels_per_interval: int = 64) -> np.ndarray:
+def envelope_series(times: np.ndarray, p: ParameterSet, e0: float) -> np.ndarray:
     """Gain-free envelope at every recorded time of a run.
 
     Equivalent to calling :func:`analytic_envelope` at each element of
@@ -141,7 +142,7 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float,
     edges = np.concatenate([[0.0], times]) if times[0] > 0.0 else times
     widths = np.diff(edges)
     # keep sub-panels below ~2e-5 so coarse recording grids stay accurate
-    m = max(panels_per_interval, int(math.ceil(widths.max(initial=0.0) * 2.5e4)))
+    m = max(ENVELOPE_PANELS, int(math.ceil(widths.max(initial=0.0) * 2.5e4)))
     # Simpson nodes of a block of intervals at a time, shape (block, 2m+1): the
     # nodes of a whole year at once hold several MB of temporaries
     starts, spacing = edges[:-1], np.linspace(0.0, 1.0, 2 * m + 1)

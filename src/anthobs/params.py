@@ -134,35 +134,45 @@ def gain_cap(dt: float) -> float:
 
 
 def _check_gains(k1: float, k2: float, dt: float) -> list[Violation]:
-    """The gain rule: both gains finite and >= 0 and, for a positive step, within
-    the cap; one violation per broken condition."""
+    """The gain rule: both gains finite and >= 0 and, for a positive finite step,
+    the finite gains within the cap; one violation per broken condition."""
     gains = {"k1": k1, "k2": k2}
     out = [Violation(key, f"{key}={k} must be finite and >= 0", hard=True)
            for key, k in gains.items() if k < 0.0 or not math.isfinite(k)]
-    top = max(gains, key=gains.get)
-    if dt > 0 and gains[top] > gain_cap(dt):
+    finite = {key: k for key, k in gains.items() if math.isfinite(k)}
+    top = max(finite, key=finite.get, default=None)
+    if top is not None and 0.0 < dt < math.inf and finite[top] > gain_cap(dt):
         out.append(Violation(
-            top, f"gain cap exceeded: max(k1,k2)={gains[top]} >"
+            top, f"gain cap exceeded: max(k1,k2)={finite[top]} >"
             f" 1/(10*dt)={gain_cap(dt)}", hard=True))
     return out
 
 
-def _check_finite(obj, skip=()) -> list[Violation]:
-    """A hard violation for each float field of ``obj``, or spatial point, that
-    is nan or infinite; each field in ``skip`` has a check that rejects it."""
-    out = []
+def _screen(obj, derived=()):
+    """Check that every float field of ``obj``, and every spatial point, is
+    finite.  Returns the violations and ``flag(key, message, hard=False,
+    reads=())``, which adds the violation of a further check of field ``key``
+    that also reads the fields ``reads``.  A field that is not finite takes
+    part in no further check, nor does a default in ``derived`` (one whose
+    input is at fault), which is not reported at all."""
+    out, skip = [], set(derived)
     for f in fields(obj):
         value = getattr(obj, f.name)
         numbers = value if isinstance(value, tuple) else (value,)
-        if f.name not in skip and not all(
-                math.isfinite(x) for x in numbers if isinstance(x, float)):
-            out.append(Violation(f.name, f"{f.name}={value} must be finite", hard=True))
-    return out
+        if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
+            if f.name not in skip:
+                out.append(Violation(f.name, f"{f.name}={value} must be finite", hard=True))
+            skip.add(f.name)
+
+    def flag(key: str, message: str, hard: bool = False, reads=()) -> None:
+        if skip.isdisjoint((key, *reads)):
+            out.append(Violation(key, message, hard))
+    return out, flag
 
 
-def _check_selector(out: list[Violation], key: str, value: str, allowed) -> None:
+def _check_selector(flag, key: str, value: str, allowed) -> None:
     if value not in allowed:
-        out.append(Violation(key, f"{key}={value!r} not one of {sorted(allowed)}", hard=True))
+        flag(key, f"{key}={value!r} not one of {sorted(allowed)}", hard=True)
 
 
 def validate(p: ParameterSet) -> list[Violation]:
@@ -175,84 +185,76 @@ def validate(p: ParameterSet) -> list[Violation]:
     assumptions.
     """
     # eta_star defaults to a formula in epsilon, b2 and b3 to formulas in
-    # epsilon, eta_star and v_max: when those leave a default without a value,
-    # report them and not the values derived from them
-    skip = ["sigma", "dt", "k1", "k2"]
-    inputs = []
-    if not 1.0 + p.epsilon > 0.0:
-        skip.append("eta_star")
-    if not (math.isfinite(p.eta_star) and 0.0 < p.v_max < math.inf):
-        skip += ["b2", "b3"]
-    elif math.isnan(p.b2) and p.epsilon * p.eta_star >= 1.0:
-        skip.append("b2")
-        inputs.append(Violation(
-            "epsilon", f"epsilon*eta_star={p.epsilon * p.eta_star} >= 1: the reference"
-            " growth amplitude takes the logarithm of 1 - epsilon*eta_star", hard=True))
-    out = _check_finite(p, skip=skip) + inputs
+    # epsilon, eta_star and v_max: when an input is at fault, report it and
+    # not the values derived from it
+    derived = set()
+    if not -1.0 < p.epsilon < math.inf:
+        derived |= {"eta_star", "b2"}
+    if not 0.0 < p.v_max < math.inf:
+        derived |= {"b2", "b3"}
+    product = p.epsilon * p.eta_star
+    growth_log_undefined = math.isnan(p.b2) and product >= 1.0
+    if not math.isfinite(p.eta_star) or growth_log_undefined:
+        derived.add("b2")
+    out, flag = _screen(p, derived)
+    if growth_log_undefined:
+        flag("epsilon", f"epsilon*eta_star={product} >= 1: the reference growth"
+             " amplitude takes the logarithm of 1 - epsilon*eta_star", hard=True,
+             reads=("eta_star",))
     if not 0.0 < p.sigma < 1.0:
-        out.append(Violation(
-            "sigma",
-            f"sigma={p.sigma} outside ]0,1[: the control weight 1/(1-sigma*u)"
-            " is singular at full control effort",
-            hard=True,
-        ))
-    if p.dt <= 0.0 or not math.isfinite(p.dt):
-        out.append(Violation("dt", f"dt={p.dt} must be a positive finite step", hard=True))
-    if math.isfinite(p.epsilon) and 1.0 + p.epsilon <= 0.0:
-        out.append(Violation(
-            "epsilon", f"epsilon={p.epsilon} must be > -1: the volume capacity"
-            " 1/(1+epsilon) is undefined", hard=True))
+        flag("sigma", f"sigma={p.sigma} outside ]0,1[: the control weight 1/(1-sigma*u)"
+             " is singular at full control effort", hard=True)
+    if p.dt <= 0.0:
+        flag("dt", f"dt={p.dt} must be a positive finite step", hard=True)
+    if 1.0 + p.epsilon <= 0.0:
+        flag("epsilon", f"epsilon={p.epsilon} must be > -1: the volume capacity"
+             " 1/(1+epsilon) is undefined", hard=True)
     elif p.epsilon < 0.0:
-        out.append(Violation("epsilon", f"epsilon={p.epsilon} must be >= 0"))
-    if "eta_star" not in skip and not 0.0 < p.eta_star < 1.0:
-        out.append(Violation(
-            "eta_star",
-            f"eta_star={p.eta_star} must lie in ]0,1[ (lower bound of eta)"))
-    out += _check_gains(p.k1, p.k2, p.dt)
+        flag("epsilon", f"epsilon={p.epsilon} must be >= 0")
+    if not 0.0 < p.eta_star < 1.0:
+        flag("eta_star", f"eta_star={p.eta_star} must lie in ]0,1[ (lower bound of eta)")
+    for v in _check_gains(p.k1, p.k2, p.dt):
+        flag(v.key, v.message, v.hard)
     for key in ("b1", "b2", "b3"):
         if getattr(p, key) < 0.0:
-            out.append(Violation(key, f"{key}={getattr(p, key)} must be >= 0 (nonnegative forcing)"))
+            flag(key, f"{key}={getattr(p, key)} must be >= 0 (nonnegative forcing)")
     for key in ("c1", "c2", "c3"):
         if getattr(p, key) <= 0.0:
-            out.append(Violation(key, f"{key}={getattr(p, key)} must be a positive pulsation"))
+            flag(key, f"{key}={getattr(p, key)} must be a positive pulsation")
     for key in ("d1", "d2", "d3"):
         if not 0.0 <= getattr(p, key) <= 1.0:
-            out.append(Violation(key, f"{key}={getattr(p, key)} must be a peak time in [0,1]"))
+            flag(key, f"{key}={getattr(p, key)} must be a peak time in [0,1]")
     for key in ("phase1", "phase2"):
         if not 0.0 <= getattr(p, key) <= 1.0:
-            out.append(Violation(key, f"{key}={getattr(p, key)} must be a phase in [0,1]"))
+            flag(key, f"{key}={getattr(p, key)} must be a phase in [0,1]")
     if p.omega1 < 0.0:
-        out.append(Violation("omega1", f"omega1={p.omega1} must be >= 0"))
+        flag("omega1", f"omega1={p.omega1} must be >= 0")
     if p.omega2 < 0.0:
-        out.append(Violation("omega2", f"omega2={p.omega2} must be >= 0 (decaying control)"))
+        flag("omega2", f"omega2={p.omega2} must be >= 0 (decaying control)")
     if p.kappa < 0.0:
-        out.append(Violation("kappa", f"kappa={p.kappa} must be >= 0"))
+        flag("kappa", f"kappa={p.kappa} must be >= 0")
     if p.v_max <= 0.0:
-        out.append(Violation("v_max", f"v_max={p.v_max} must be > 0", hard=True))
+        flag("v_max", f"v_max={p.v_max} must be > 0", hard=True)
     if p.p1_const < 0.0:
-        out.append(Violation("p1_const", f"p1_const={p.p1_const} must be >= 0"))
-    _check_selector(out, "p1_mode", p.p1_mode, P1_MODES)
-    _check_selector(out, "p2_mode", p.p2_mode, P2_MODES)
-    _check_selector(out, "eta_mode", p.eta_mode, ETA_MODES)
+        flag("p1_const", f"p1_const={p.p1_const} must be >= 0")
+    _check_selector(flag, "p1_mode", p.p1_mode, P1_MODES)
+    _check_selector(flag, "p2_mode", p.p2_mode, P2_MODES)
+    _check_selector(flag, "eta_mode", p.eta_mode, ETA_MODES)
     # both eta modes take values in [min, max] of {eta_star, 1/(1+epsilon)}, so
     # eta(t) stays inside its band [eta_star, 1/(1+epsilon)] iff the band is
     # not empty
     if p.epsilon >= 0.0 and p.eta_star > 1.0 / (1.0 + p.epsilon):
-        out.append(Violation(
-            "eta_mode",
-            f"eta(t) escapes [eta_star, 1/(1+epsilon)]: eta_star={p.eta_star}"
-            f" > 1/(1+epsilon)={1.0 / (1.0 + p.epsilon)}",
-        ))
+        flag("eta_mode", f"eta(t) escapes [eta_star, 1/(1+epsilon)]: eta_star={p.eta_star}"
+             f" > 1/(1+epsilon)={1.0 / (1.0 + p.epsilon)}", reads=("epsilon", "eta_star"))
     return out
 
 
 def validate_spatial(sp: SpatialParameterSet) -> list[Violation]:
     """Validate the spatial extension together with its base parameters."""
-    out = validate(sp.base) + _check_finite(sp)
+    out, flag = _screen(sp)
     if sp.diffusivity < 0.0:
-        out.append(Violation("diffusivity", f"diffusivity={sp.diffusivity} must be >= 0", hard=True))
+        flag("diffusivity", f"diffusivity={sp.diffusivity} must be >= 0", hard=True)
     if sp.anisotropy_scale < 0.0:
-        out.append(Violation("anisotropy_scale",
-                             f"anisotropy_scale={sp.anisotropy_scale} must be >= 0"))
-    _check_selector(out, "spatial_profile", sp.spatial_profile, ("radial", "uniform"))
-    return out
+        flag("anisotropy_scale", f"anisotropy_scale={sp.anisotropy_scale} must be >= 0")
+    _check_selector(flag, "spatial_profile", sp.spatial_profile, ("radial", "uniform"))
+    return validate(sp.base) + out

@@ -1,9 +1,11 @@
 """Scenario execution: the simulation study matrix, artifacts and re-checks.
 
-A sweep steps its within-host scenarios that share scheme, sensor and span
-as one batch system (:func:`_run_batch`), and runs every other scenario
-alone, spatial ones in a process pool when asked for workers.  Each member
-of a batch writes what its lone run (:func:`run_scenario`) writes.
+Every scenario runs in a group (:func:`_run_group`): the within-host
+scenarios of a sweep that share scheme, sensor and span are stepped as one
+system, with a member per scenario, and every other scenario alone; a lone
+run (:func:`run_scenario`) is a group of one.  A sweep runs its groups in a
+process pool when asked for workers.  Each member of a group writes what its
+lone run writes.
 
 Each scenario writes one directory containing a configuration snapshot
 (``config.txt``), the recorded time series (``series.csv``, 9 significant
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import functools
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -304,78 +306,84 @@ def run_scenario(s: Scenario, p: ParameterSet,
     """Execute one scenario, write its artifact directory, return the record.
 
     Failures (overshoot, instability, non-finite states) are captured in the
-    record with ``status="failed"`` and the error line, so a batch can
+    record with ``status="failed"`` and the error line, so a sweep can
     continue; a failed run's directory holds only ``record.txt``, since the
     artifacts of an earlier run of the same label are removed.
     """
+    return _run_group([s], p, sp, out_dir)[0]
+
+
+def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet | None,
+               out_dir) -> list[RunRecord]:
+    """Step the scenarios of ``group`` (see :func:`_groups`) as one system, then
+    conclude each: one record per scenario, in group order.
+
+    A group of one steps its float within-host system or its spatial system; a
+    group of several within-host scenarios one system with a member per
+    scenario.  When a group of several is refused or its stepping raises, each
+    member runs as a group of one, so a failing scenario fails by itself with
+    the error of its lone run.
+    """
     t_start = time.perf_counter()
-    p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
-    sp_run = dataclasses.replace(sp or SpatialParameterSet(), base=p_run)
-
-    def outcome():
-        if s.model == "ode":
-            system = WithinHostSystem(p_run, s.theta0, s.v0, s.rho0, s.measurement)
-            traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
-            return _ode_outcome(traj, p_run)
-        grid = pde.Grid(s.dim, s.n)
-        system = SpatialSystem(sp_run, grid, s.theta0, s.v0, s.rho0, s.measurement)
-        traj = simulate(system, s.t0, s.t1, p_run.dt, s.scheme, RECORD_STRIDE)
-        rows = _pde_rows(traj, metrics.error_series_pde(traj))
-        sens = _volume_sensitivity(s, sp_run, grid) if s.k1 > 0.0 else None
-        report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
-        return traj, PDE_COLUMNS, rows, report
-
-    return _conclude(s, p_run, sp_run, out_dir, t_start, outcome)
-
-
-def _ode_outcome(traj, p_run: ParameterSet):
-    """Columns, CSV rows and condition report of a within-host trajectory."""
-    rows = _ode_rows(traj, metrics.error_series_ode(traj))
-    return traj, ODE_COLUMNS, rows, ode.check_conditions(traj, p_run)
-
-
-def _conclude(s: Scenario, p_run: ParameterSet, sp_run: SpatialParameterSet | None,
-              out_dir, t_start: float, outcome) -> RunRecord:
-    """Take ``outcome() -> (trajectory, columns, rows, condition report)`` of
-    scenario ``s``, derive its verdicts and write its directory: the artifacts,
-    or only the record of the failure that ``outcome`` or the verdicts raised."""
-    directory = None
-    if out_dir is not None:
-        directory = Path(out_dir) / s.label
-        directory.mkdir(parents=True, exist_ok=True)
-
+    first = group[0]
     try:
-        traj, columns, rows, report = outcome()
+        if first.model == "pde":
+            p_run = dataclasses.replace(p, k1=first.k1, k2=first.k2)
+            system = SpatialSystem(dataclasses.replace(sp or SpatialParameterSet(), base=p_run),
+                                   pde.Grid(first.dim, first.n), first.theta0, first.v0,
+                                   first.rho0, first.measurement)
+        else:  # on a member axis a lone run takes several times its float kernels
+            column = ((lambda key: getattr(first, key)) if len(group) == 1 else
+                      (lambda key: np.array([getattr(s, key) for s in group])))
+            system = WithinHostSystem(p, column("theta0"), column("v0"), column("rho0"),
+                                      first.measurement, gains=(column("k1"), column("k2")))
+        traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE)
+    except Exception as exc:
+        if len(group) == 1:
+            return [_failed(first, out_dir, t_start, exc)]
+        return [r for s in group for r in _run_group([s], p, sp, out_dir)]
+    share = (time.perf_counter() - t_start) / len(group)  # of each member's wall clock
+    member = traj.member if len(group) > 1 else lambda j: traj
+    return [_conclude(s, system, member(j), out_dir, time.perf_counter() - share)
+            for j, s in enumerate(group)]
+
+
+def _scenario_dir(s: Scenario, out_dir) -> Path | None:
+    if out_dir is None:
+        return None
+    directory = Path(out_dir) / s.label
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
+def _conclude(s: Scenario, system, traj, out_dir, t_start: float) -> RunRecord:
+    """Derive the diagnostics and verdicts of scenario ``s`` from its trajectory
+    ``traj`` of ``system`` and write its directory: the artifacts, or only the
+    record of the failure that the diagnostics or the verdicts raised."""
+    p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
+    sp_run = system.sp if s.model == "pde" else None
+    try:
+        if s.model == "ode":
+            columns, rows = ODE_COLUMNS, _ode_rows(traj, metrics.error_series_ode(traj))
+            report = ode.check_conditions(traj, p_run)
+        else:
+            columns, rows = PDE_COLUMNS, _pde_rows(traj, metrics.error_series_pde(traj))
+            sens = _volume_sensitivity(s, sp_run, system.grid) if s.k1 > 0.0 else None
+            report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
         checks, final_abs_err, final_rel_err = _verdicts(
             s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
-    except Exception as exc:  # recorded, batch continues
-        record = RunRecord(
-            scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
-            wall_clock_s=time.perf_counter() - t_start, overshoot={},
-            final_abs_err=None, final_rel_err=None, checks={}, condition={},
-            out_dir=str(directory) if directory else None)
-        if directory is not None:
-            for name in ("config.txt", "series.csv", *(f"{kind}.svg" for kind in PLOTS)):
-                (directory / name).unlink(missing_ok=True)
-            _write_record(directory / "record.txt", record)
-        return record
+    except Exception as exc:  # recorded, the sweep goes on
+        return _failed(s, out_dir, t_start, exc)
 
+    directory = _scenario_dir(s, out_dir)
     record = RunRecord(
-        scenario=s,
-        status="ok",
-        error=None,
-        wall_clock_s=time.perf_counter() - t_start,
-        overshoot=traj.overshoot,
-        final_abs_err=final_abs_err,
-        final_rel_err=final_rel_err,
-        checks=checks,
-        condition=_condition_summary(report),
-        out_dir=str(directory) if directory else None,
-    )
+        scenario=s, status="ok", error=None, wall_clock_s=time.perf_counter() - t_start,
+        overshoot=traj.overshoot, final_abs_err=final_abs_err, final_rel_err=final_rel_err,
+        checks=checks, condition=_condition_summary(report),
+        out_dir=str(directory) if directory else None)
     if directory is not None:
         write_atomic(directory / "config.txt",
-                     configmod.write_config(p_run, sp_run if s.model == "pde" else None,
-                                            scenarios=[s]))
+                     configmod.write_config(p_run, sp_run, scenarios=[s]))
         _write_csv(directory / "series.csv", columns, rows)
         _write_record(directory / "record.txt", record)
         for kind in PLOTS:
@@ -383,30 +391,20 @@ def _conclude(s: Scenario, p_run: ParameterSet, sp_run: SpatialParameterSet | No
     return record
 
 
-def _run_batch(batch: list[Scenario], p: ParameterSet, out_dir) -> list[RunRecord]:
-    """Run within-host scenarios that share scheme, sensor and span as one
-    system with a member per scenario; each member's artifacts and record are
-    those of :func:`run_scenario` on it alone.  When the batch is refused or its
-    stepping raises, every member runs alone, so a failing scenario fails by
-    itself with the error of its lone run."""
-    first = batch[0]
-    t_start = time.perf_counter()
-    try:
-        column = lambda key: [getattr(s, key) for s in batch]
-        system = WithinHostSystem(
-            p, column("theta0"), column("v0"), column("rho0"), first.measurement,
-            gains=(np.array(column("k1")), np.array(column("k2"))))
-        traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE)
-    except Exception:
-        return [run_scenario(s, p, None, out_dir) for s in batch]
-    share = (time.perf_counter() - t_start) / len(batch)  # of each member's wall clock
-    records = []
-    for j, s in enumerate(batch):
-        p_run = dataclasses.replace(p, k1=s.k1, k2=s.k2)
-        outcome = functools.partial(_ode_outcome, traj.member(j), p_run)
-        records.append(_conclude(s, p_run, None, out_dir, time.perf_counter() - share,
-                                 outcome))
-    return records
+def _failed(s: Scenario, out_dir, t_start: float, exc: Exception) -> RunRecord:
+    """The record of scenario ``s`` failed with ``exc``; its directory keeps
+    only that record."""
+    directory = _scenario_dir(s, out_dir)
+    record = RunRecord(
+        scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
+        wall_clock_s=time.perf_counter() - t_start, overshoot={},
+        final_abs_err=None, final_rel_err=None, checks={}, condition={},
+        out_dir=str(directory) if directory else None)
+    if directory is not None:
+        for name in ("config.txt", "series.csv", *(f"{kind}.svg" for kind in PLOTS)):
+            (directory / name).unlink(missing_ok=True)
+        _write_record(directory / "record.txt", record)
+    return record
 
 
 def _write_record(path: Path, r: RunRecord) -> None:
@@ -440,21 +438,15 @@ def _read_record(path: Path) -> dict[str, str]:
     return out
 
 
-def _run_one(args) -> RunRecord:
-    s, p, sp, out_dir = args
-    return run_scenario(s, p, sp, out_dir)
-
-
-def _batches(scenarios: list[Scenario]) -> tuple[list[list[int]], list[int]]:
-    """Indices of the within-host scenarios that share scheme, sensor and span,
-    one list per batch, and of every other scenario."""
-    groups: dict[object, list[int]] = {}
+def _groups(scenarios: list[Scenario]) -> list[list[Scenario]]:
+    """The scenarios stepped as one system, in order of first appearance: the
+    within-host scenarios that share scheme, sensor and span, and each spatial
+    scenario alone."""
+    groups: dict[object, list[Scenario]] = {}
     for i, s in enumerate(scenarios):
         key = (s.scheme, s.measurement, s.t0, s.t1) if s.model == "ode" else i
-        groups.setdefault(key, []).append(i)
-    # a batch of one costs more than the float path of its lone run
-    return ([idx for idx in groups.values() if len(idx) > 1],
-            [idx[0] for idx in groups.values() if len(idx) == 1])
+        groups.setdefault(key, []).append(s)
+    return list(groups.values())
 
 
 def sweep(kind: str, p: ParameterSet | None = None,
@@ -463,9 +455,8 @@ def sweep(kind: str, p: ParameterSet | None = None,
           scenarios: list[Scenario] | None = None) -> list[RunRecord]:
     """Run a scenario matrix (or an explicit scenario list) into ``out_dir``.
 
-    Within-host scenarios that share scheme, sensor and span run in batches,
-    each stepped as one system in this process (:func:`_run_batch`); the
-    others run one by one, with ``workers > 1`` in a process pool.  Every
+    Each group of :func:`_groups` is stepped as one system
+    (:func:`_run_group`), with ``workers > 1`` in a process pool.  Every
     scenario owns its output directory and writes what its lone run writes,
     so results are identical to a serial run of :func:`run_scenario`.
     Raises ``ValueError`` before any run when two scenarios share a label,
@@ -479,19 +470,15 @@ def sweep(kind: str, p: ParameterSet | None = None,
         raise ValueError(f"scenario label {repeated[0]!r} names more than one scenario")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    batches, alone = _batches(scenarios)
-    records: list[RunRecord | None] = [None] * len(scenarios)
-    for batch in batches:
-        for i, record in zip(batch, _run_batch([scenarios[i] for i in batch], p, out_dir)):
-            records[i] = record
-    jobs = [(scenarios[i], p, sp, out_dir) for i in alone]
-    if workers > 1 and len(jobs) > 1:
+    groups = _groups(scenarios)
+    jobs = (groups, itertools.repeat(p), itertools.repeat(sp), itertools.repeat(out_dir))
+    if workers > 1 and len(groups) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_one, jobs))
+            done = list(pool.map(_run_group, *jobs))
     else:
-        done = [_run_one(job) for job in jobs]
-    for i, record in zip(alone, done):
-        records[i] = record
+        done = list(map(_run_group, *jobs))
+    by_label = {r.scenario.label: r for records in done for r in records}
+    records = [by_label[s.label] for s in scenarios]
     if out_dir is not None:
         manifest = [f"{r.scenario.label} {r.status}" for r in records]
         write_atomic(Path(out_dir) / "manifest.txt", "\n".join(manifest) + "\n")

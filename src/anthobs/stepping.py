@@ -49,6 +49,8 @@ __all__ = [
 
 #: Largest tolerated pre-clamp excursion outside the state box.
 OVERSHOOT_LIMIT = 1e-6
+#: Fraction of the explicit diffusion stability bound that a step may take.
+CFL_SAFETY = 0.9
 
 
 class NonFiniteError(RuntimeError):
@@ -59,16 +61,11 @@ class OvershootError(RuntimeError):
     """A state component left its invariant box by more than the tolerance."""
 
 
-def _require_finite(d, t: float, what: str) -> None:
-    if isinstance(d, float):
-        if not math.isfinite(d):
-            raise NonFiniteError(f"non-finite {what} ({d}) at t={t}")
+def _require_finite(d: np.ndarray, t: float, what: str) -> None:
+    if math.isfinite(float(d.sum())):
         return
-    arr = np.asarray(d)
-    if math.isfinite(float(arr.sum())):
-        return
-    if not np.all(np.isfinite(arr)):
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+    if not np.all(np.isfinite(d)):
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(d))[0])
         raise NonFiniteError(f"non-finite {what} at t={t}, component {idx}")
 
 
@@ -98,11 +95,11 @@ def step_rk4(rhs, t: float, state, dt: float):
 _STEPPERS = {"euler": step_euler, "rk4": step_rk4}
 
 
-def cfl_step_limit(h: float, dim: int, diffusivity: float, safety: float = 0.9) -> float:
-    """Largest stable explicit step for diffusion: ``safety*h^2/(2*dim*D)``."""
+def cfl_step_limit(h: float, dim: int, diffusivity: float) -> float:
+    """Largest stable explicit step for diffusion: ``CFL_SAFETY*h^2/(2*dim*D)``."""
     if diffusivity <= 0.0:
         return math.inf
-    return safety * h * h / (2.0 * dim * diffusivity)
+    return CFL_SAFETY * h * h / (2.0 * dim * diffusivity)
 
 
 @dataclass
@@ -141,14 +138,14 @@ class Trajectory:
 
 def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float) -> None:
     """Reject a run whose span, step, scheme or gains no system can take:
-    finite ``t0 <= t1``, ``dt > 0``, a known scheme and the gain rule of
+    finite ``t0 <= t1``, a finite ``dt > 0``, a known scheme and the gain rule of
     :mod:`anthobs.params`.  Raises ``ValueError`` with the first violation."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0={t0} and t1={t1} must be finite")
     if t1 < t0:
         raise ValueError(f"t1={t1} earlier than t0={t0}")
-    if not dt > 0.0:
-        raise ValueError(f"dt={dt} must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt={dt} must be a positive finite step")
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {sorted(_STEPPERS)}")
     violations = _check_gains(k1, k2, dt)

@@ -123,7 +123,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 2: invalid scenario"):
             load_config_text(f"# two\nscenario = ode theta0=0.5 v0=0.5 rho0=0.25 {item}\n")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_nonfinite_parameter_rejected(self, p, key, value):
         sp = SpatialParameterSet(base=p)
@@ -131,7 +131,8 @@ class TestConfig:
             sp = replace(sp, base=replace(p, **{key: value}))
         else:
             sp = replace(sp, **{key: (0.5, value) if key.startswith("x") else value})
-        assert key in {v.key for v in validate_spatial(sp) if v.hard}
+        # reported once: a value that is not finite takes part in no other check
+        assert [(v.key, v.hard) for v in validate_spatial(sp)] == [(key, True)]
         with pytest.raises(ConfigError, match=f"configuration rejected: .*{key}="):
             load_config_text(write_config(sp.base, sp))
 
@@ -241,6 +242,14 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate(WithinHostSystem(replace(p, k1=k1), 0.5, 0.5, 0.25), 0.0, t1, p.dt)
 
+    def test_infinite_step_named(self, p):
+        # the gain cap 1/(10*dt) of dt = inf is 0: the step is at fault, not the gain
+        p = replace(p, dt=math.inf, k1=1e3)
+        for run in (lambda: runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 1e3, 0.0),
+                    lambda: simulate(WithinHostSystem(p, 0.5, 0.5, 0.25), 0.0, 1.0, p.dt)):
+            with pytest.raises(ValueError, match="^dt=inf must be a positive finite step$"):
+                run()
+
 
 class TestVolumeSensitivity:
     def test_one_sided_quotient_at_box_edge(self, p):
@@ -338,6 +347,18 @@ class TestRunScenario:
         assert np.all(col["l2_err"] <= col["abs_err_max"] * (1 + 1e-8))
         assert np.ptp(col["l2_err"] - col["abs_err_mean"]) > 0  # not the same column
 
+    def test_lone_within_host_run_steps_floats_once(self, p, fast_scenarios, monkeypatch):
+        # a group of one: one simulate call on the float kernels (a 1-D state)
+        calls = []
+
+        def spy(system, *args, **kwargs):
+            calls.append(np.ndim(system.truth0))
+            return simulate(system, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate", spy)
+        assert runner.run_scenario(fast_scenarios[1], p).status == "ok"
+        assert calls == [1]
+
     def test_condition_report_recorded(self, p, tmp_path, fast_scenarios):
         rec = runner.run_scenario(fast_scenarios[0], p, out_dir=tmp_path)
         assert "alpha_inf" in rec.condition
@@ -365,13 +386,28 @@ class TestSweepAndCheck:
             assert svg_a.read_bytes() == (b / svg_a.relative_to(a)).read_bytes()
 
     def test_worker_pool_matches_serial(self, p, tmp_path, fast_scenarios):
+        # the two within-host scenarios form one group: the pool steps a batch
         serial, parallel = tmp_path / "s", tmp_path / "p"
         runner.sweep("custom", p, out_dir=serial, scenarios=fast_scenarios)
         runner.sweep("custom", p, out_dir=parallel, scenarios=fast_scenarios,
                      workers=2)
-        for csv_s in sorted(serial.glob("*/series.csv")):
-            csv_p = parallel / csv_s.relative_to(serial)
-            assert csv_s.read_bytes() == csv_p.read_bytes()
+        manifest = [(d / "manifest.txt").read_bytes() for d in (serial, parallel)]
+        assert manifest[0] == manifest[1]
+        for s in fast_scenarios:
+            assert _artifacts(serial / s.label) == _artifacts(parallel / s.label), s.label
+
+    def test_worker_pool_failure_stays_with_its_scenario(self, p, tmp_path, fast_scenarios):
+        # dt = 1e-4 breaks the diffusion bound of a 512^2 grid
+        bad = runner.make_scenario(p, "pde", 0.05, 0.5, 0.05, 0.0, 0.0, dim=2, n=512)
+        scenarios = [*fast_scenarios, bad]
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        runner.sweep("custom", p, out_dir=serial, scenarios=scenarios)
+        records = runner.sweep("custom", p, out_dir=parallel, scenarios=scenarios, workers=2)
+        assert [r.status for r in records] == ["ok"] * len(fast_scenarios) + ["failed"]
+        assert records[-1].error == runner.run_scenario(bad, p).error
+        assert records[-1].error.startswith("ValueError: dt=0.0001 violates the diffusion")
+        for s in scenarios:
+            assert _artifacts(serial / s.label) == _artifacts(parallel / s.label), s.label
 
     def test_tampered_csv_detected(self, p, tmp_path, fast_scenarios):
         runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
@@ -819,6 +855,7 @@ class TestCli:
         ("v_max = -1", "v_max=-1.0 must be > 0"),
         ("v_max = 0", "v_max=0.0 must be > 0"),
         ("eta_star = inf", "eta_star=inf must be finite"),
+        ("epsilon = inf", "epsilon=inf must be finite"),
         # eta_star defaults to 1/(1+epsilon)
         ("epsilon = -1",
          "epsilon=-1.0 must be > -1: the volume capacity 1/(1+epsilon) is undefined"),
@@ -834,6 +871,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"error: {message}" in out.splitlines()
         assert "b2" not in out and "b3" not in out
+        if line.endswith("inf"):  # neither a derived value nor another check speaks
+            assert out.splitlines() == [f"error: {message}"]
         with pytest.raises(ConfigError, match=f"^configuration rejected: {re.escape(message)}$"):
             load_config(cfg)
 
