@@ -190,14 +190,10 @@ def output_root(override: str | None = None) -> Path:
     return Path(env) if env else Path("runs")
 
 
-def _fmt9(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _write_csv(path: Path, columns: tuple[str, ...], rows: np.ndarray) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt9(v) for v in row))
+    # one % format per row: the text of f"{x:.9g}" for every value
+    fmt = ",".join(["%.9g"] * len(columns))
+    lines = [",".join(columns), *(fmt % tuple(row) for row in rows)]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -459,9 +455,11 @@ def sweep(kind: str, p: ParameterSet | None = None,
     (:func:`_run_group`), with ``workers > 1`` in a process pool.  Every
     scenario owns its output directory and writes what its lone run writes,
     so results are identical to a serial run of :func:`run_scenario`.
-    Raises ``ValueError`` before any run when two scenarios share a label,
-    since they would write into the same directory.
+    Raises ``ValueError`` before any run when ``workers < 1``, or when two
+    scenarios share a label, since they would write into the same directory.
     """
+    if workers < 1:
+        raise ValueError(f"workers={workers} must be >= 1")
     p = p or ParameterSet()
     if scenarios is None:
         scenarios = scenario_matrix(kind, p)

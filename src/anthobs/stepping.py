@@ -11,14 +11,15 @@ pre-clamp overshoot is recorded; any overshoot beyond ``OVERSHOOT_LIMIT``
 aborts the run, since the continuous dynamics cannot leave the box and a
 larger excursion signals an unstable step size.
 
-One loop serves both models; the kind of the initial state picks its step
-and clamp kernels once per run.  A lone within-host run (a 1-D initial
-state) runs on tuples of floats; a field system, or a batch of within-host
-runs, on numpy arrays with the component axis first.  The two kernel kinds
-perform identical IEEE arithmetic, so member ``j`` of a batch records what
-the lone run of member ``j`` records, bit for bit; the test suite
-cross-checks them.  Recorded samples are written straight into the
-preallocated trajectory arrays.
+One loop serves both models through the one system of :mod:`anthobs.systems`
+(the spatial system is the within-host system on grid profiles, plus
+diffusion); the kind of the initial state picks its step and clamp kernels
+once per run.  A lone within-host run (a 1-D initial state) runs on tuples
+of floats; a field system, or a batch of within-host runs, on numpy arrays
+with the component axis first.  The two kernel kinds perform identical IEEE
+arithmetic, so member ``j`` of a batch records what the lone run of member
+``j`` records, bit for bit; the test suite cross-checks them.  Recorded
+samples are written straight into the preallocated trajectory arrays.
 
 The overshoot is reduced over the state axes that the box bounds do not
 span (the grid axes of a field).  A batch's bounds span its member axis
@@ -167,7 +168,7 @@ def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     cfl = system.cfl_limit()
-    if cfl is not None and dt > cfl:
+    if dt > cfl:
         raise ValueError(
             f"dt={dt} violates the diffusion stability bound {cfl:.3e}; refuse to run")
     return int(math.floor((t1 - t0) / dt + 1e-9))

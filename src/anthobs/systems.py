@@ -1,23 +1,24 @@
 """Coupled truth+observer systems consumed by :func:`anthobs.stepping.simulate`.
 
-A system bundles initial states, invariant boxes, right-hand sides and
-measurement synthesis behind one interface: ``truth_rhs(t, y)``,
-``observer_rhs(t, z, m)`` and ``measure(t, y, prev)``.  Both systems call the
-same right-hand sides and measurement of :mod:`anthobs.ode` with their
-coefficient profiles ``coef``: the unit profile on tuples of floats for the
-within-host system; the grid profiles on fields for the spatial system, which
-adds diffusion to the inhibition rate and stacks the components, component
-axis first, then the grid axes.  The integrator reads the kind from the
-initial state and drives both models with the same loop.
+A system bundles initial states, invariant boxes, right-hand sides,
+measurement synthesis and a CFL limit behind one interface, written once:
+the within-host model is the spatial model with unit profiles and no grid.
+:class:`WithinHostSystem` calls the right-hand sides and measurement of
+:mod:`anthobs.ode` with ``ode.UNIT`` on tuples of floats; its CFL limit is
+unbounded.  :class:`SpatialSystem` only supplies a grid, its profiles and a
+diffusivity: its states are spatially constant fields, component axis
+first, and its right-hand sides add diffusion to the rates of ``theta`` and
+``theta_hat``.
 
 A within-host system also takes a batch: equal-length arrays of initial
 values and gains, one entry per member.  Its states are then arrays with
-the component axis first and the member axis second, stepped by the
-integrator's array kernels through the same right-hand sides, and its box
-bounds span the member axis, so each member keeps its own overshoot.
+the component axis first and the member axis second, and its box bounds
+span the member axis, so each member keeps its own overshoot.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _measure(system, t: float, y, prev) -> ode.Measurement:
 
 
 class WithinHostSystem:
-    """Within-host model coupled to its observer.
+    """Within-host model coupled to its observer; the body of both systems.
 
     Truth state is ``(theta, v, rho)``; observer state is
     ``(theta_hat, v_hat)`` with the fixed initialisation ``theta_hat(0) = 0``
@@ -74,6 +75,7 @@ class WithinHostSystem:
     """
 
     component_names = COMPONENTS
+    grid = None
     coef = ode.UNIT
 
     def __init__(self, p: ParameterSet, theta0, v0, rho0,
@@ -83,72 +85,60 @@ class WithinHostSystem:
         self.p = p
         self.gains = gains
         self.measurement_mode = measurement_mode
-        self.truth0 = np.array([theta0, v0, rho0])
+        self.truth0 = np.array([theta0, v0, rho0], dtype=float)
         self.observer0 = np.array([np.zeros_like(self.truth0[1]), self.truth0[1]])
         lo, hi = state_box(p)
         if self.truth0.ndim > 1:  # span the member axis: each member keeps its overshoot
             lo, hi = lo[:, None], hi[:, None]
         self.truth_bounds, self.observer_bounds = (lo[:3], hi[:3]), (lo[3:], hi[3:])
+        if self.grid is not None:  # constant fields satisfy the zero-flux boundary
+            self.truth0, self.observer0 = (
+                np.full(a.shape + self.grid.shape, a.reshape(a.shape + (1,) * self.grid.dim))
+                for a in (self.truth0, self.observer0))
 
-    def cfl_limit(self):
-        return None
+    def cfl_limit(self) -> float:
+        if self.grid is None:
+            return math.inf
+        return cfl_step_limit(self.grid.h, self.grid.dim, self.diffusivity)
 
-    # states and measurements are tuples of floats, or of member arrays
+    # states and measurements are tuples of floats, of member arrays or of fields
 
-    def truth_rhs(self, t: float, y: tuple) -> tuple:
-        return ode.model_rhs(t, ode.ModelState(*y), self.p, self.coef)
+    def truth_rhs(self, t: float, y):
+        return self._diffused(ode.model_rhs(t, ode.ModelState(*y), self.p, self.coef), y[0])
 
-    def measure(self, t: float, y: tuple, prev) -> ode.Measurement:
+    def measure(self, t: float, y, prev) -> ode.Measurement:
         # a name of its own: benchmarks/tracing.py counts measurements by patching it
         return self.measure_scalar(t, y, prev)
 
     measure_scalar = _measure
 
-    def observer_rhs(self, t: float, z: tuple, m: tuple) -> tuple:
-        return ode.observer_rhs(
+    def observer_rhs(self, t: float, z, m):
+        rates = ode.observer_rhs(
             t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef, self.gains)
+        return self._diffused(rates, z[0])
+
+    def _diffused(self, rates: tuple, theta):
+        """``rates``, with diffusion of ``theta`` added to the first on a grid."""
+        if self.grid is None:
+            return rates
+        return (rates[0] + pde.laplacian_neumann(theta, self.grid, self.diffusivity),
+                *rates[1:])
 
 
-class SpatialSystem:
-    """Spatial reaction-diffusion model coupled to its spatial observer.
-
-    Initial fields are spatially constant (which satisfies the zero-flux
-    boundary exactly); spatial coefficient profiles are precomputed once.
-    """
-
-    component_names = COMPONENTS
-    gains = None
+class SpatialSystem(WithinHostSystem):
+    """Spatial reaction-diffusion model coupled to its spatial observer: the
+    coupled system on the grid of ``grid``, with the coefficient profiles of
+    ``sp`` (precomputed once) and its diffusivity."""
 
     def __init__(self, sp: SpatialParameterSet, grid: pde.Grid,
                  theta0: float, v0: float, rho0: float,
                  measurement_mode: str = "exact"):
-        p = sp.base
-        check_inputs(p, theta0, v0, rho0, measurement_mode)
         self.sp = sp
-        self.p = p
         self.grid = grid
-        self.measurement_mode = measurement_mode
+        self.diffusivity = sp.diffusivity
+        super().__init__(sp.base, theta0, v0, rho0, measurement_mode)
         self.coef = pde.spatial_coefficients(grid, sp)
-        shape = grid.shape
-        self.truth0 = np.stack([
-            np.full(shape, theta0), np.full(shape, v0), np.full(shape, rho0)])
-        self.observer0 = np.stack([np.zeros(shape), np.full(shape, v0)])
-        lo, hi = state_box(p)
-        self.truth_bounds, self.observer_bounds = (lo[:3], hi[:3]), (lo[3:], hi[3:])
-
-    def cfl_limit(self) -> float:
-        return cfl_step_limit(self.grid.h, self.grid.dim, self.sp.diffusivity)
-
-    def truth_rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        dtheta, dv, drho = ode.model_rhs(t, ode.ModelState(*y), self.p, self.coef)
-        return np.stack([dtheta + pde.laplacian_neumann(y[0], self.grid, self.sp.diffusivity),
-                         dv, drho])
 
     def measure(self, t: float, y: np.ndarray, prev) -> np.ndarray:
+        # not through measure_scalar, which benchmarks/tracing.py counts too
         return np.stack(_measure(self, t, y, prev))
-
-    def observer_rhs(self, t: float, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        dtheta, dv = ode.observer_rhs(
-            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef)
-        return np.stack([dtheta + pde.laplacian_neumann(z[0], self.grid, self.sp.diffusivity),
-                         dv])

@@ -775,6 +775,26 @@ class TestBatchedSweep:
         assert manifest == [f"{r.scenario.label} {r.status}" for r in records]
 
 
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                            2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+class TestCsvFormat:
+    @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.floats(), st.floats(-1e30, 1e30), _SPECIAL),
+                 min_size=width, max_size=width), min_size=1, max_size=5)))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_read_as_per_value_format(self, rows):
+        # one % format per row writes the text of f"{x:.9g}" for every value
+        columns = tuple(f"c{i}" for i in range(len(rows[0])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            runner._write_csv(path, columns, np.array(rows))
+            text = path.read_text()
+        expected = [",".join(columns)] + [",".join(f"{x:.9g}" for x in row) for row in rows]
+        assert text == "\n".join(expected) + "\n"
+
+
 class TestAtomicWrites:
     @staticmethod
     def _fail_midway(monkeypatch):
@@ -897,6 +917,20 @@ class TestCli:
             "scenario = ode theta0=0.75 v0=0.5 rho0=0.25 t1=0.02\n")
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
         assert "ode_th0.75_v0.5_rho0.25_k1_0_k2_0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_sweep_rejects_worker_counts_below_one(self, tmp_path, monkeypatch, capsys, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected sweep started work")
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(runner, "_run_group", refuse)
+        message = f"workers={workers} must be >= 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            runner.sweep("paper-ode", out_dir=tmp_path / "direct", workers=workers)
+        out = tmp_path / "cli"
+        assert main(["sweep", "paper-ode", "--workers", str(workers), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_empty_config(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
