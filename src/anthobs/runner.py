@@ -233,7 +233,9 @@ def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndar
     checks: dict[str, str] = {"exact_law": "n/a", "decay_envelope": "n/a"}
     if s.k1 != 0.0 or s.measurement != "exact":
         return checks
-    env = metrics.envelope_series(t, p, float(e[0]))
+    # envelope_series integrates from 0: a run from t0 > 0 starts at its own e(t0)
+    env = metrics.envelope_series(t, p, 1.0)
+    env = float(e[0]) * env / env[0]
     if s.k2 == 0.0:
         worst = float(np.max(np.abs(e - env)))
         checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
@@ -274,12 +276,11 @@ def _volume_sensitivity(s: Scenario, sp: SpatialParameterSet, grid) -> np.ndarra
     edge the quotient is one-sided; it always divides by the actual spread.
     """
     thetas = [min(1.0, max(0.0, s.theta0 + sign * SENSITIVITY_DELTA)) for sign in (+1.0, -1.0)]
-    fields = []
-    for theta0 in thetas:
-        system = SpatialSystem(sp, grid, theta0, s.v0, s.rho0, s.measurement)
-        traj = simulate(system, s.t0, s.t1, sp.base.dt, s.scheme,
-                        RECORD_STRIDE, truth_only=True)
-        fields.append(traj.truth[:, 1])
+    # keep each run's volume field alone: its whole record goes before the next run
+    fields = [simulate(SpatialSystem(sp, grid, theta0, s.v0, s.rho0, s.measurement),
+                       s.t0, s.t1, sp.base.dt, s.scheme, RECORD_STRIDE,
+                       truth_only=True).truth[:, 1].copy()
+              for theta0 in thetas]
     return (fields[0] - fields[1]) / (thetas[0] - thetas[1])
 
 
@@ -507,6 +508,8 @@ def _check_one_dir(directory: Path) -> list[str]:
     if len(loaded.scenarios) != 1:
         return [f"{directory}: config snapshot must hold exactly one scenario"]
     s, p = loaded.scenarios[0], loaded.params
+    if s.label != os.path.basename(os.path.abspath(directory)):  # runs write <out>/<label>
+        return [f"{directory}: config snapshot describes scenario {s.label}"]
     try:
         header, data = _read_csv(csv_path)
     except ValueError as exc:

@@ -1,12 +1,13 @@
 """Fixed-step explicit time integration with recording and box clamping.
 
-``simulate`` advances a coupled truth+observer system in lockstep: at each
-step the measurement is synthesised from the current true state, the truth
-is advanced, then the observer is advanced using that measurement (held
-constant over the step).  The observer therefore only ever sees truth data
-from the current or earlier steps.
+``simulate`` advances a coupled truth+observer system as one state: the
+truth's components, then the observer's.  At each step the measurement is
+synthesised from the current true state, then one step of the coupled
+right-hand side advances both, the observer holding that measurement over
+the step.  The observer therefore only ever sees truth data from the
+current or earlier steps.  A truth-only run's state is the truth alone.
 
-After every step, states are clamped to their invariant boxes and the
+After every step, the state is clamped to its invariant box and the
 pre-clamp overshoot is recorded; any overshoot beyond ``OVERSHOOT_LIMIT``
 aborts the run, since the continuous dynamics cannot leave the box and a
 larger excursion signals an unstable step size.
@@ -19,7 +20,8 @@ of floats; a field system, or a batch of within-host runs, on numpy arrays
 with the component axis first.  The two kernel kinds perform identical IEEE
 arithmetic, so member ``j`` of a batch records what the lone run of member
 ``j`` records, bit for bit; the test suite cross-checks them.  Recorded
-samples are written straight into the preallocated trajectory arrays.
+samples are written straight into one preallocated buffer, of which the
+trajectory's truth and observer are views.
 
 The overshoot is reduced over the state axes that the box bounds do not
 span (the grid axes of a field).  A batch's bounds span its member axis
@@ -55,7 +57,12 @@ CFL_SAFETY = 0.9
 
 
 class NonFiniteError(RuntimeError):
-    """A derivative or state component became NaN or infinite."""
+    """A derivative became NaN or infinite; ``component`` indexes its first
+    non-finite entry, and :func:`simulate` names the part of the state holding it."""
+
+    def __init__(self, message: str, component: tuple = ()):
+        super().__init__(message)
+        self.component = component
 
 
 class OvershootError(RuntimeError):
@@ -67,7 +74,7 @@ def _require_finite(d: np.ndarray, t: float, what: str) -> None:
         return
     if not np.all(np.isfinite(d)):
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(d))[0])
-        raise NonFiniteError(f"non-finite {what} at t={t}, component {idx}")
+        raise NonFiniteError(f"non-finite {what} at t={t}, component {idx}", idx)
 
 
 def step_euler(rhs, t: float, state, dt: float):
@@ -193,56 +200,50 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     if np.ndim(system.truth0) == 1:  # a handful of scalar components
         step, clamp_state, track = _FLOAT_STEPPERS[scheme], _clamp_floats, _track_floats
         as_state = _floats
-        max_over = [0.0] * len(names)
     else:  # component axis first, then a member axis or the grid axes
         step, clamp_state, track = _STEPPERS[scheme], _clamp_array, _track_array
         as_state = np.asarray
-        # one overshoot per component and member: the axes the bounds span
-        spanned = np.ndim(system.truth_bounds[0])
-        max_over = np.zeros((len(names), *np.shape(system.truth0)[1:spanned]))
-    truth = as_state(system.truth0)
-    obs = None if truth_only else as_state(system.observer0)
-    t_lo, t_hi = (as_state(b) for b in system.truth_bounds)
-    o_lo, o_hi = (as_state(b) for b in system.observer_bounds)
+    # the coupled state, initial and box bounds: the truth's, then the observer's
+    state, lo, hi = (as_state(np.concatenate(parts[:1] if truth_only else parts))
+                     for parts in zip((system.truth0, *system.truth_bounds),
+                                      (system.observer0, *system.observer_bounds)))
+    # one overshoot per component and member: the axes the bounds span
+    max_over = np.zeros(np.shape(state)[:np.ndim(lo)])
+    if isinstance(state, tuple):
+        max_over = max_over.tolist()
     truth_rhs, obs_rhs, measure = system.truth_rhs, system.observer_rhs, system.measure
+    # the observer holds the step's measurement m over the step
+    rhs = truth_rhs if truth_only else lambda t, x: (*truth_rhs(t, x[:3]), *obs_rhs(t, x[3:], m))
 
-    # records go straight into the output rows: a measurement has the shape
-    # of the truth state, (v, rho, drho_dt) against (theta, v, rho)
+    # records go straight into one buffer; a measurement has the shape of the
+    # truth state, (v, rho, drho_dt) against (theta, v, rho)
     n_rec = n_steps // record_stride + 1
     times = np.empty(n_rec)
-    truth_rec = np.empty((n_rec, *np.shape(truth)))
+    rec = np.empty((n_rec, *np.shape(state)))
     # no observer reads the measurement of a truth-only run: none is taken
-    obs_rec = None if truth_only else np.empty((n_rec, *np.shape(obs)))
-    meas_rec = None if truth_only else np.empty_like(truth_rec)
+    meas_rec = None if truth_only else np.empty((n_rec, 3, *np.shape(state)[1:]))
     prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
-        if obs is not None:
-            m = measure(t, truth, prev)
+        if not truth_only:
+            m = measure(t, state[:3], prev)
         if k % record_stride == 0:
             i = k // record_stride
             times[i] = t
-            truth_rec[i] = truth
-            if obs is not None:
-                obs_rec[i] = obs
+            rec[i] = state
+            if not truth_only:
                 meas_rec[i] = m
         if k == n_steps:
             break
 
-        what = "truth"
         try:
-            new_truth = step(truth_rhs, t, truth, dt)
-            if obs is not None:
-                what = "observer"
-                new_obs = step(lambda tt, z: obs_rhs(tt, z, m), t, obs, dt)
+            new_state = step(rhs, t, state, dt)
         except NonFiniteError as exc:
-            raise NonFiniteError(f"{exc} ({what})") from None
-        prev = (t, truth)
+            part = "truth" if exc.component[0] < 3 else "observer"
+            raise NonFiniteError(f"{exc} ({part})") from None
+        prev = (t, state[:3])
 
-        truth, over = clamp_state(new_truth, t_lo, t_hi, clamp)
-        if obs is not None:
-            obs, over_o = clamp_state(new_obs, o_lo, o_hi, clamp)
-            over = (*over, *over_o)
+        state, over = clamp_state(new_state, lo, hi, clamp)
         if track(max_over, over) > OVERSHOOT_LIMIT:
             peaks = [float(np.max(v)) for v in max_over]
             idx = peaks.index(max(peaks))
@@ -252,8 +253,8 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
 
     return Trajectory(
         times=times,
-        truth=truth_rec,
-        observer=obs_rec,
+        truth=rec[:, :3],
+        observer=None if truth_only else rec[:, 3:],
         measurements=meas_rec,
         overshoot={name: v if np.ndim(v) else float(v) for name, v in zip(names, max_over)},
         meta={"scheme": scheme, "dt": dt, "t0": t0, "t1": t0 + n_steps * dt,
@@ -275,12 +276,9 @@ def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, apply: bool)
     return state, over
 
 
-def _track_array(max_over: np.ndarray, over) -> float:
-    """Fold one step's overshoot, of the truth's components alone in a
-    truth-only run, into the run's maxima; return its worst."""
-    over = np.array(over)
-    seen = max_over[:len(over)]
-    np.maximum(seen, over, out=seen)
+def _track_array(max_over: np.ndarray, over: np.ndarray) -> float:
+    """Fold one step's overshoot into the run's maxima; return its worst."""
+    np.maximum(max_over, over, out=max_over)
     return over.max()
 
 
@@ -294,9 +292,8 @@ def _floats(values) -> tuple:
 
 def _euler_floats(rhs, t, state, dt):
     d = rhs(t, state)
-    for x in d:
-        if not math.isfinite(x):
-            raise NonFiniteError(f"non-finite derivative at t={t}, component {d.index(x)}")
+    if not math.isfinite(sum(d)):
+        _require_finite(np.array(d), t, "derivative")
     return tuple(x + dt * dx for x, dx in zip(state, d))
 
 
@@ -306,9 +303,8 @@ def _rk4_floats(rhs, t, state, dt):
     k3 = rhs(t + 0.5 * dt, tuple(x + 0.5 * dt * dx for x, dx in zip(state, k2)))
     k4 = rhs(t + dt, tuple(x + dt * dx for x, dx in zip(state, k3)))
     for stage in (k1, k2, k3, k4):
-        for x in stage:
-            if not math.isfinite(x):
-                raise NonFiniteError(f"non-finite derivative at t={t}")
+        if not math.isfinite(sum(stage)):
+            _require_finite(np.array(stage), t, "derivative")
     return tuple(
         x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
         for x, a, b, c, d in zip(state, k1, k2, k3, k4)

@@ -294,11 +294,14 @@ class TestRunScenario:
         lines = (Path(rec.out_dir) / "series.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + initial sample
 
-    def test_natural_observer_envelope_passes(self, p, tmp_path):
-        s = runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0)
+    @pytest.mark.parametrize("t0, k2", [(0.0, 0.0), (0.3, 0.0), (0.3, 1e3)])
+    def test_natural_observer_envelope_passes(self, p, tmp_path, t0, k2):
+        # a run from t0 > 0 decays from its own e(t0), not from e(0)
+        s = runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, k2, t0=t0)
         rec = runner.run_scenario(s, p, out_dir=tmp_path)
-        assert rec.checks["exact_law"] == "pass"
+        assert rec.checks["exact_law"] == ("pass" if k2 == 0.0 else "n/a")
         assert rec.checks["decay_envelope"] == "pass"
+        assert runner.check_artifacts(tmp_path) == []
 
     def test_pde_gain_free_l2_envelope_passes(self, p, tmp_path):
         s = runner.make_scenario(p, "pde", 0.75, 0.5, 0.75, 0.0, 0.0,
@@ -538,6 +541,16 @@ class TestSweepAndCheck:
                             problems[2])
         assert main(["check", str(tmp_path)]) == 1
         assert "3 problem(s) found" in capsys.readouterr().err
+
+    def test_directory_holding_another_scenario_reported(self, p, tmp_path, fast_scenarios):
+        # the files of the k2 = 0 run copied over those of the k2 = 1000 run
+        # agree with each other, but not with the directory's name
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:2])
+        source, target = (tmp_path / s.label for s in fast_scenarios[:2])
+        for f in source.iterdir():
+            shutil.copy(f, target / f.name)
+        assert runner.check_artifacts(tmp_path) == [
+            f"{target}: config snapshot describes scenario {source.name}"]
 
     @pytest.mark.parametrize("key", ["final_abs_err", "cond_alpha_inf"])
     def test_record_value_not_a_number_reported(self, p, tmp_path, fast_scenarios, key,

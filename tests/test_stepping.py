@@ -199,6 +199,22 @@ class TestSimulate:
 
     @pytest.mark.parametrize("scheme", ["euler", "rk4"])
     @pytest.mark.parametrize("kind", ["within_host", "spatial_1d"])
+    def test_nonfinite_truth_named(self, p, sp, kind, scheme):
+        # the last truth component sits next to the observer's first in the
+        # coupled state: its name comes from the index of the non-finite entry
+        within_host = kind == "within_host"
+
+        class Broken(WithinHostSystem if within_host else SpatialSystem):
+            def truth_rhs(self, t, y):
+                return ((0.0, 0.0, math.nan) if within_host
+                        else np.stack([0.0 * y[0], 0.0 * y[1], y[2] * math.nan]))
+        system = (Broken(p, 0.5, 0.5, 0.25) if within_host
+                  else Broken(sp, Grid(1, 4), 0.5, 0.5, 0.5))
+        with pytest.raises(NonFiniteError, match=r"at t=0\.0, component \(2,?.*\(truth\)$"):
+            simulate(system, 0.0, 0.01, 1e-4, scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind", ["within_host", "spatial_1d"])
     @pytest.mark.parametrize("pushed", ["theta", "theta_hat"])
     def test_small_overshoot_is_clamped(self, p, sp, kind, scheme, pushed):
         # every step pushes theta to 1 + 5e-7 (or theta_hat to -5e-7): below
