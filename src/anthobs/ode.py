@@ -46,6 +46,7 @@ __all__ = [
     "interior_indicator",
     "make_measurement",
     "condition_report",
+    "ConditionFold",
     "check_conditions",
     "ConditionReport",
 ]
@@ -250,21 +251,27 @@ class ConditionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def condition_report(batches, p: ParameterSet, notes: list[str],
-                     coef: SpatialCoefficients = UNIT) -> ConditionReport:
-    """Condition infima over every sample of one run's ``batches``, with the
-    observer gains ``p.k1`` and ``p.k2`` and the profiles ``coef``.
+class ConditionFold:
+    """Condition infima over every sample of one run, taken a batch at a time
+    in time order (:meth:`add`), with the observer gains ``p.k1`` and ``p.k2``
+    and the profiles ``coef``; :meth:`report` gives the infima of the batches
+    added so far, with ``notes``.
 
     A batch ``(t, theta, o, m, ratio, excluded)`` broadcasts: its times, true
     rate, observer state, measurement, stability factor ``R`` (``None``: not
     evaluable when ``k1 > 0``) and the samples excluded as singular.  A batch
     holds any number of records, with the times on the leading axis.
     """
-    k1, k2 = p.k1, p.k2
-    infima: dict[str, list] = {key: [] for key in ("alpha", "coer", "s1", "s2", "dom")}
-    zero_times: list[float] = []
-    n_coer = n_excluded = 0
-    for t, theta, o, m, ratio, excluded in batches:
+
+    def __init__(self, p: ParameterSet, notes: list[str], coef: SpatialCoefficients = UNIT):
+        self.p, self.notes, self.coef = p, notes, coef
+        self.infima: dict[str, list] = {key: [] for key in ("alpha", "coer", "s1", "s2", "dom")}
+        self.zero_times: list[float] = []
+        self.n_coer = self.n_excluded = 0
+
+    def add(self, t, theta, o, m, ratio, excluded) -> None:
+        p, coef, infima = self.p, self.coef, self.infima
+        k1, k2 = p.k1, p.k2
         alpha = forcing.inhibition_forcing(t, p, coef.q1)
         w = forcing.inhibition_weight(t, p, coef.u_space)
         # the rot forcing at theta and at theta_hat, with the measured v, rho
@@ -275,41 +282,54 @@ def condition_report(batches, p: ParameterSet, notes: list[str],
         coer = np.abs(rot - rot_hat)[informative] / err[informative]
         phi2 = rot_innovation(o.theta_hat, m.drho_dt, rot_hat * (1.0 - m.rho))
         dom = k2 * np.abs(phi2) - k1 * volume_gap(o.theta_hat, o.v_hat, m.v, p.epsilon)
-        zero_times += np.unique(np.broadcast_to(t, np.shape(alpha))[alpha < SINGULAR_TOL]).tolist()
+        self.zero_times += np.unique(
+            np.broadcast_to(t, np.shape(alpha))[alpha < SINGULAR_TOL]).tolist()
         infima["alpha"].append(np.min(alpha))
         infima["dom"].append(np.min(dom))
         if coer.size:
             infima["coer"].append(coer.min())
-            n_coer += coer.size
+            self.n_coer += coer.size
         if k1 != 0.0 and ratio is None:
-            continue
+            return
         k1d = k1 * interior_indicator(o.theta_hat)
         with np.errstate(invalid="ignore", over="ignore"):
             k1_term = np.where(k1d != 0.0, k1d * ratio, 0.0) if k1 else 0.0
         expr1 = np.broadcast_to(alpha * w + k1_term, phi2.shape)
         keep = ~np.broadcast_to(excluded, phi2.shape)
-        n_excluded += phi2.size - int(np.count_nonzero(keep))
+        self.n_excluded += phi2.size - int(np.count_nonzero(keep))
         if np.any(keep):
             infima["s1"].append(expr1[keep].min())
             infima["s2"].append((expr1 + k2 * phi2)[keep].min())
 
-    def inf(key):
-        return float(min(infima[key])) if infima[key] else None
+    def report(self) -> ConditionReport:
+        def inf(key):
+            return float(min(self.infima[key])) if self.infima[key] else None
 
-    if n_coer == 0:
-        notes = notes + ["coercivity: no informative samples (theta_hat == theta throughout)"]
-    return ConditionReport(
-        alpha_inf=inf("alpha"),
-        alpha_zero_times=zero_times,
-        coercivity_inf=inf("coer"),
-        coercivity_samples=n_coer,
-        stability1_inf=inf("s1"),
-        stability1_excluded=n_excluded,
-        stability2_inf=inf("s2"),
-        stability2_excluded=n_excluded,
-        dominance_inf=inf("dom"),
-        notes=notes,
-    )
+        notes = self.notes
+        if self.n_coer == 0:
+            notes = notes + ["coercivity: no informative samples (theta_hat == theta throughout)"]
+        return ConditionReport(
+            alpha_inf=inf("alpha"),
+            alpha_zero_times=self.zero_times,
+            coercivity_inf=inf("coer"),
+            coercivity_samples=self.n_coer,
+            stability1_inf=inf("s1"),
+            stability1_excluded=self.n_excluded,
+            stability2_inf=inf("s2"),
+            stability2_excluded=self.n_excluded,
+            dominance_inf=inf("dom"),
+            notes=notes,
+        )
+
+
+def condition_report(batches, p: ParameterSet, notes: list[str],
+                     coef: SpatialCoefficients = UNIT) -> ConditionReport:
+    """Condition infima over every sample of one run's ``batches``: the
+    :class:`ConditionFold` of the batches, in order."""
+    fold = ConditionFold(p, notes, coef)
+    for batch in batches:
+        fold.add(*batch)
+    return fold.report()
 
 
 def check_conditions(traj, p: ParameterSet) -> ConditionReport:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import forcing, ode
 from .ode import SpatialCoefficients
-from .params import SpatialParameterSet
+from .params import ParameterSet, SpatialParameterSet
 
 __all__ = [
     "Grid",
@@ -29,9 +29,12 @@ __all__ = [
     "spatial_coefficients",
     "aggregate",
     "check_conditions_spatial",
+    "condition_batches",
+    "block_records",
 ]
 
-#: Samples (records x cells) per block of the spatial condition diagnostics;
+#: Samples (records x cells) per block of the spatial condition diagnostics,
+#: and per member in a block of the records a spatial run hands to the runner;
 #: each block temporary takes 256 KiB.
 BLOCK_SAMPLES = 2 ** 15
 
@@ -70,20 +73,26 @@ def laplacian_neumann(f: np.ndarray, grid: Grid, diffusivity: float) -> np.ndarr
     """``D * laplacian(f)`` with zero-flux (reflecting ghost cell) boundaries.
 
     Second-order central stencil; the cell sum of the output telescopes to
-    zero, so diffusion conserves the field total exactly.
+    zero, so diffusion conserves the field total exactly.  The stencil acts
+    on the last ``grid.dim`` axes of ``f``; leading axes (such as the member
+    axis of a batch) hold independent fields, each given what it alone would be.
     """
-    if f.shape != grid.shape:
+    if f.shape[f.ndim - grid.dim:] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     inv_h2 = diffusivity / (grid.h * grid.h)
     if grid.dim == 1:
         out = np.empty_like(f)
-        out[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
-        out[0] = f[1] - f[0]
-        out[-1] = f[-2] - f[-1]
+        out[..., 1:-1] = f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]
+        out[..., 0] = f[..., 1] - f[..., 0]
+        out[..., -1] = f[..., -2] - f[..., -1]
         return inv_h2 * out
-    g = np.pad(f, 1, mode="edge")
+    # ghost cells repeat the edge values (the corners are never read)
+    g = np.empty(f.shape[:-2] + (grid.n + 2, grid.n + 2))
+    g[..., 1:-1, 1:-1] = f
+    g[..., 0, 1:-1], g[..., -1, 1:-1] = f[..., 0, :], f[..., -1, :]
+    g[..., 1:-1, 0], g[..., 1:-1, -1] = f[..., :, 0], f[..., :, -1]
     out = (
-        g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:]
+        g[..., :-2, 1:-1] + g[..., 2:, 1:-1] + g[..., 1:-1, :-2] + g[..., 1:-1, 2:]
         - 4.0 * f
     )
     return inv_h2 * out
@@ -100,6 +109,11 @@ def spatial_coefficients(grid: Grid, sp: SpatialParameterSet) -> SpatialCoeffici
     u_space = np.sin(forcing.radial_squared(pts, m0, sp.center(0, grid.dim))) ** 2
     qs = [forcing.spatial_weight(pts, i, sp, grid.dim) for i in (1, 2, 3)]
     return SpatialCoefficients(qs[0], qs[1], qs[2], u_space)
+
+
+def block_records(cells: int) -> int:
+    """Records per block of ``BLOCK_SAMPLES`` samples of fields of ``cells`` cells."""
+    return max(1, BLOCK_SAMPLES // cells)
 
 
 def aggregate(f: np.ndarray) -> tuple[float, float, float]:
@@ -121,8 +135,7 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
     where ``S = sensitivity[i]`` is ``d v / d theta(0)`` at record ``i``, from
     paired truth runs; cells with ``v`` below tolerance are excluded and
     counted.  Without ``sensitivity`` the stability infima are ``None``.
-    Each forcing is called once per block of ``BLOCK_SAMPLES`` samples, on the
-    block's times shaped to broadcast against its fields.
+    The samples are folded in the blocks of :func:`condition_batches`.
     """
     p = sp.base
     if len(traj.times) == 0:
@@ -132,19 +145,26 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
         notes.append(
             "stability expressions skipped: k1 > 0 needs the paired-run"
             " volume sensitivity estimate")
-    block = max(1, BLOCK_SAMPLES // traj.truth[0, 0].size)
+    return ode.condition_report(condition_batches(traj, p, sensitivity), p, notes, coef)
 
-    def batches():
-        for lo in range(0, len(traj.times), block):
-            rec = slice(lo, lo + block)
-            t = traj.times[rec].reshape(-1, *(1,) * (traj.truth.ndim - 2))
-            theta, v, _ = np.moveaxis(traj.truth[rec], 1, 0)
-            o = ode.ObserverState(*np.moveaxis(traj.observer[rec], 1, 0))
-            m = ode.Measurement(*np.moveaxis(traj.measurements[rec], 1, 0))
-            ratio, excluded = None, False
-            if p.k1 > 0.0 and sensitivity is not None:
-                excluded = v < ode.SINGULAR_TOL
-                ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[rec]) / np.where(excluded, 1.0, v)
-            yield t, theta, o, m, ratio, excluded
 
-    return ode.condition_report(batches(), p, notes, coef)
+def condition_batches(traj, p: ParameterSet, sensitivity: np.ndarray | None = None,
+                      start: int = 0):
+    """The batches of :class:`ode.ConditionFold` for the records of ``traj``,
+    :func:`block_records` of them at a time.  ``traj`` holds the records of
+    one run from record ``start`` on, and ``sensitivity`` covers every record
+    of that run.  Each forcing is called once per batch, on the batch's times
+    shaped to broadcast against its fields."""
+    block = block_records(traj.truth[0, 0].size)
+    for lo in range(0, len(traj.times), block):
+        rec = slice(lo, lo + block)
+        t = traj.times[rec].reshape(-1, *(1,) * (traj.truth.ndim - 2))
+        theta, v, _ = np.moveaxis(traj.truth[rec], 1, 0)
+        o = ode.ObserverState(*np.moveaxis(traj.observer[rec], 1, 0))
+        m = ode.Measurement(*np.moveaxis(traj.measurements[rec], 1, 0))
+        ratio, excluded = None, False
+        if p.k1 > 0.0 and sensitivity is not None:
+            excluded = v < ode.SINGULAR_TOL
+            sens = sensitivity[start + lo:start + lo + len(theta)]
+            ratio = (v + (1.0 + p.epsilon - theta) * sens) / np.where(excluded, 1.0, v)
+        yield t, theta, o, m, ratio, excluded

@@ -1,11 +1,18 @@
 """Scenario execution: the simulation study matrix, artifacts and re-checks.
 
-Every scenario runs in a group (:func:`_run_group`): the within-host
-scenarios of a sweep that share scheme, sensor and span are stepped as one
-system, with a member per scenario, and every other scenario alone; a lone
-run (:func:`run_scenario`) is a group of one.  A sweep runs its groups in a
+Every scenario runs in a group (:func:`_run_group`): the scenarios of a
+sweep that share model, scheme, sensor and span, and for the spatial model
+the grid, are stepped as one system, with a member per scenario; a lone run
+(:func:`run_scenario`) is a group of one.  A sweep runs its groups in a
 process pool when asked for workers.  Each member of a group writes what its
 lone run writes.
+
+A within-host run keeps its whole records.  A spatial run never does: it
+hands its records over in blocks while it steps, and each member folds every
+block into its CSV rows and its condition diagnostics.  The volume
+sensitivity of the ``k1 > 0`` members of a spatial group comes from one
+truth-only run, which keeps only the sensitivity field of each distinct
+initial state.
 
 Each scenario writes one directory containing a configuration snapshot
 (``config.txt``), the recorded time series (``series.csv``, 9 significant
@@ -39,7 +46,7 @@ from . import config as configmod
 from . import metrics, ode, pde, svgplot
 from .fileio import write_atomic
 from .params import ParameterSet, SpatialParameterSet
-from .stepping import check_run, simulate
+from .stepping import check_run, simulate, step_count
 from .systems import COMPONENTS, SpatialSystem, WithinHostSystem, check_inputs, state_box
 
 __all__ = [
@@ -269,19 +276,72 @@ def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
 
 
-def _volume_sensitivity(s: Scenario, sp: SpatialParameterSet, grid) -> np.ndarray:
-    """d v / d theta(0) per recorded time, from two perturbed truth runs.
+def _volume_sensitivity(s, sp: SpatialParameterSet, grid):
+    """d v / d theta(0) per recorded time of scenario ``s``, from two perturbed
+    truth runs; of each scenario of a list ``s`` (which share span, scheme and
+    sensor), a list of fields, one per distinct initial state.
 
+    The truths from theta(0) +- ``SENSITIVITY_DELTA`` of every distinct state
+    step as one truth-only batch, which keeps only each state's quotient.
     The perturbed initial rates are clamped into ``[0, 1]``, so at the box
     edge the quotient is one-sided; it always divides by the actual spread.
     """
-    thetas = [min(1.0, max(0.0, s.theta0 + sign * SENSITIVITY_DELTA)) for sign in (+1.0, -1.0)]
-    # keep each run's volume field alone: its whole record goes before the next run
-    fields = [simulate(SpatialSystem(sp, grid, theta0, s.v0, s.rho0, s.measurement),
-                       s.t0, s.t1, sp.base.dt, s.scheme, RECORD_STRIDE,
-                       truth_only=True).truth[:, 1].copy()
-              for theta0 in thetas]
-    return (fields[0] - fields[1]) / (thetas[0] - thetas[1])
+    group = s if isinstance(s, list) else [s]
+    first, states = group[0], list(dict.fromkeys((x.theta0, x.v0, x.rho0) for x in group))
+    # members (+, -) of each state in turn
+    thetas = np.array([[min(1.0, max(0.0, theta0 + sign * SENSITIVITY_DELTA))
+                        for sign in (+1.0, -1.0)] for theta0, _, _ in states])
+    spread = (thetas[:, 0] - thetas[:, 1]).reshape(-1, 1, *(1,) * grid.dim)
+    twice = lambda i: np.repeat([state[i] for state in states], 2)
+    zeros = np.zeros(thetas.size)  # a truth-only run reads no gain
+    system = SpatialSystem(sp, grid, thetas.ravel(), twice(1), twice(2), first.measurement,
+                           gains=(zeros, zeros))
+    n_rec = step_count(first.t0, first.t1, sp.base.dt) // RECORD_STRIDE + 1
+    fields = np.empty((len(states), n_rec, *grid.shape))
+    filled = 0
+
+    def keep(block):
+        nonlocal filled
+        v = np.moveaxis(block.truth[:, 1], 1, 0)
+        fields[:, filled:filled + len(block)] = (v[0::2] - v[1::2]) / spread
+        filled += len(block)
+
+    simulate(system, first.t0, first.t1, sp.base.dt, first.scheme, RECORD_STRIDE,
+             truth_only=True, on_block=keep)
+    by_state = dict(zip(states, fields))
+    out = [by_state[(x.theta0, x.v0, x.rho0)] for x in group]
+    return out if isinstance(s, list) else out[0]
+
+
+class _Folded:
+    """The CSV rows and condition diagnostics of spatial scenario ``s``, a
+    member of a run of ``system``, folded from the blocks of its records in
+    time order (:meth:`add`); the first error either raises is kept."""
+
+    def __init__(self, s: Scenario, system, sensitivity):
+        self.p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
+        self.sensitivity = sensitivity
+        self.fold = ode.ConditionFold(self.p_run, [], system.coef)
+        self.rows: list[np.ndarray] = []
+        self.filled = 0
+        self.error: Exception | None = None
+
+    def add(self, block) -> None:
+        if self.error is None:
+            try:
+                self.rows.append(_pde_rows(block, metrics.error_series_pde(block)))
+                for batch in pde.condition_batches(block, self.p_run, self.sensitivity,
+                                                   self.filled):
+                    self.fold.add(*batch)
+            except Exception as exc:  # fails this member alone
+                self.error = exc
+        self.filled += len(block)
+
+    def result(self) -> tuple[np.ndarray, ode.ConditionReport]:
+        """The rows and the condition report of every block, or the error."""
+        if self.error is not None:
+            raise self.error
+        return np.concatenate(self.rows), self.fold.report()
 
 
 def _condition_summary(report) -> dict[str, object]:
@@ -315,33 +375,56 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
     """Step the scenarios of ``group`` (see :func:`_groups`) as one system, then
     conclude each: one record per scenario, in group order.
 
-    A group of one steps its float within-host system or its spatial system; a
-    group of several within-host scenarios one system with a member per
-    scenario.  When a group of several is refused or its stepping raises, each
-    member runs as a group of one, so a failing scenario fails by itself with
-    the error of its lone run.
+    A group of one steps its float within-host system or its spatial system;
+    a group of several one system with a member per scenario.  A spatial
+    group first computes the volume sensitivity of its ``k1 > 0`` members,
+    one truth-only run for all (:func:`_volume_sensitivity`), and then hands
+    each block of its records to every member's :class:`_Folded`; an error
+    in one member's diagnostics fails that member alone.  When a group of
+    several is refused or its stepping raises, each member runs as a group
+    of one, so a failing scenario fails by itself with the error of its lone
+    run.
     """
     t_start = time.perf_counter()
     first = group[0]
+    # the floats of a lone run (on a member axis it takes several times its
+    # float kernels), or one entry per member
+    column = ((lambda key: getattr(first, key)) if len(group) == 1 else
+              (lambda key: np.array([getattr(s, key) for s in group])))
+    initial, gains = [column(key) for key in ("theta0", "v0", "rho0")], (column("k1"), column("k2"))
+    member = (lambda traj, j: traj.member(j)) if len(group) > 1 else (lambda traj, j: traj)
+    folded, on_block, sens_error = [None] * len(group), None, None
     try:
         if first.model == "pde":
-            p_run = dataclasses.replace(p, k1=first.k1, k2=first.k2)
-            system = SpatialSystem(dataclasses.replace(sp or SpatialParameterSet(), base=p_run),
-                                   pde.Grid(first.dim, first.n), first.theta0, first.v0,
-                                   first.rho0, first.measurement)
-        else:  # on a member axis a lone run takes several times its float kernels
-            column = ((lambda key: getattr(first, key)) if len(group) == 1 else
-                      (lambda key: np.array([getattr(s, key) for s in group])))
-            system = WithinHostSystem(p, column("theta0"), column("v0"), column("rho0"),
-                                      first.measurement, gains=(column("k1"), column("k2")))
-        traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE)
+            system = SpatialSystem(dataclasses.replace(sp or SpatialParameterSet(), base=p),
+                                   pde.Grid(first.dim, first.n), *initial, first.measurement,
+                                   gains)
+            sensing = [s for s in group if s.k1 > 0.0]
+            try:
+                fields = _volume_sensitivity(sensing, system.sp, system.grid) if sensing else []
+            except Exception as exc:
+                if len(group) > 1:
+                    raise
+                # a lone run fails with it, unless its own stepping raises first
+                fields, sens_error = [None], exc
+            by_label = dict(zip((s.label for s in sensing), fields))
+            folded = [_Folded(s, system, by_label.get(s.label)) for s in group]
+
+            def on_block(block):
+                for j, fold in enumerate(folded):
+                    fold.add(member(block, j))
+        else:
+            system = WithinHostSystem(p, *initial, first.measurement, gains=gains)
+        traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE,
+                        on_block=on_block)
     except Exception as exc:
         if len(group) == 1:
             return [_failed(first, out_dir, t_start, exc)]
         return [r for s in group for r in _run_group([s], p, sp, out_dir)]
+    if sens_error is not None:
+        return [_failed(first, out_dir, t_start, sens_error)]
     share = (time.perf_counter() - t_start) / len(group)  # of each member's wall clock
-    member = traj.member if len(group) > 1 else lambda j: traj
-    return [_conclude(s, system, member(j), out_dir, time.perf_counter() - share)
+    return [_conclude(s, system, member(traj, j), out_dir, time.perf_counter() - share, folded[j])
             for j, s in enumerate(group)]
 
 
@@ -353,20 +436,20 @@ def _scenario_dir(s: Scenario, out_dir) -> Path | None:
     return directory
 
 
-def _conclude(s: Scenario, system, traj, out_dir, t_start: float) -> RunRecord:
+def _conclude(s: Scenario, system, traj, out_dir, t_start: float,
+              folded: _Folded | None) -> RunRecord:
     """Derive the diagnostics and verdicts of scenario ``s`` from its trajectory
     ``traj`` of ``system`` and write its directory: the artifacts, or only the
-    record of the failure that the diagnostics or the verdicts raised."""
+    record of the failure that the diagnostics or the verdicts raised.  Of a
+    spatial run ``traj`` holds the last block, and ``folded`` every block."""
     p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
-    sp_run = system.sp if s.model == "pde" else None
+    sp_run = dataclasses.replace(system.sp, base=p_run) if s.model == "pde" else None
     try:
         if s.model == "ode":
             columns, rows = ODE_COLUMNS, _ode_rows(traj, metrics.error_series_ode(traj))
             report = ode.check_conditions(traj, p_run)
         else:
-            columns, rows = PDE_COLUMNS, _pde_rows(traj, metrics.error_series_pde(traj))
-            sens = _volume_sensitivity(s, sp_run, system.grid) if s.k1 > 0.0 else None
-            report = pde.check_conditions_spatial(traj, sp_run, system.coef, sens)
+            columns, (rows, report) = PDE_COLUMNS, folded.result()
         checks, final_abs_err, final_rel_err = _verdicts(
             s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
     except Exception as exc:  # recorded, the sweep goes on
@@ -436,13 +519,14 @@ def _read_record(path: Path) -> dict[str, str]:
 
 
 def _groups(scenarios: list[Scenario]) -> list[list[Scenario]]:
-    """The scenarios stepped as one system, in order of first appearance: the
-    within-host scenarios that share scheme, sensor and span, and each spatial
-    scenario alone."""
-    groups: dict[object, list[Scenario]] = {}
-    for i, s in enumerate(scenarios):
-        key = (s.scheme, s.measurement, s.t0, s.t1) if s.model == "ode" else i
-        groups.setdefault(key, []).append(s)
+    """The scenarios stepped as one system, in order of first appearance: those
+    that share model, scheme, sensor and span, and for the spatial model the
+    grid (``dim`` and ``n``).  A spatial group also shares one truth-only run
+    for the volume sensitivity of its ``k1 > 0`` members."""
+    groups: dict[tuple, list[Scenario]] = {}
+    for s in scenarios:
+        key = (s.model, s.scheme, s.measurement, s.t0, s.t1)
+        groups.setdefault(key + ((s.dim, s.n) if s.model == "pde" else ()), []).append(s)
     return list(groups.values())
 
 

@@ -23,6 +23,14 @@ arithmetic, so member ``j`` of a batch records what the lone run of member
 samples are written straight into one preallocated buffer, of which the
 trajectory's truth and observer are views.
 
+A run may instead hand its records over in blocks, to a block consumer
+``on_block``: the buffer then holds one block, of the system's
+``block_records()`` records, and each time it is full (and at the last
+record) the consumer gets it as a :class:`Trajectory` of those records, in
+time order, before the buffer is reused.  Its memory then does not grow with
+the span.  A spatial run of the runner folds each block into its CSV rows
+and its condition diagnostics.
+
 The overshoot is reduced over the state axes that the box bounds do not
 span (the grid axes of a field).  A batch's bounds span its member axis
 with a unit axis, so each member keeps the overshoot of its own run.
@@ -42,6 +50,7 @@ __all__ = [
     "step_rk4",
     "simulate",
     "check_run",
+    "step_count",
     "members",
     "Trajectory",
     "NonFiniteError",
@@ -161,6 +170,11 @@ def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float
         raise ValueError(violations[0].message)
 
 
+def step_count(t0: float, t1: float, dt: float) -> int:
+    """Steps of ``dt`` that a run takes from ``t0`` to ``t1``."""
+    return int(math.floor((t1 - t0) / dt + 1e-9))
+
+
 def members(*values):
     """The per-member tuples of ``values``: the floats of one run, or equal-length
     sequences with one entry per member of a batch."""
@@ -178,17 +192,20 @@ def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
     if dt > cfl:
         raise ValueError(
             f"dt={dt} violates the diffusion stability bound {cfl:.3e}; refuse to run")
-    return int(math.floor((t1 - t0) / dt + 1e-9))
+    return step_count(t0, t1, dt)
 
 
 def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
              record_stride: int = 10, clamp: bool = True,
-             truth_only: bool = False) -> Trajectory:
+             truth_only: bool = False, on_block=None) -> Trajectory:
     """Advance truth and observer from ``t0`` to ``t1`` with fixed step ``dt``.
 
     Records every ``record_stride``-th step (plus the initial sample) and
     returns a :class:`Trajectory`.  ``clamp=False`` disables box clamping but
-    still tracks (and enforces the limit on) pre-clamp overshoot.
+    still tracks (and enforces the limit on) pre-clamp overshoot.  With a
+    block consumer ``on_block``, each block of records is passed to it as a
+    :class:`Trajectory` (valid until the call returns), and the returned
+    trajectory holds the records of the last block only.
 
     Raises ``ValueError`` on a run :func:`check_run` rejects or on an unstable
     diffusion step (CFL check), :class:`NonFiniteError` on a non-finite
@@ -218,21 +235,28 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     # records go straight into one buffer; a measurement has the shape of the
     # truth state, (v, rho, drho_dt) against (theta, v, rho)
     n_rec = n_steps // record_stride + 1
-    times = np.empty(n_rec)
-    rec = np.empty((n_rec, *np.shape(state)))
+    size = n_rec if on_block is None else min(n_rec, system.block_records())
+    times = np.empty(size)
+    rec = np.empty((size, *np.shape(state)))
     # no observer reads the measurement of a truth-only run: none is taken
-    meas_rec = None if truth_only else np.empty((n_rec, 3, *np.shape(state)[1:]))
+    meas_rec = None if truth_only else np.empty((size, 3, *np.shape(state)[1:]))
+    records = lambda n, overshoot, **meta: Trajectory(
+        times[:n], rec[:n, :3], None if truth_only else rec[:n, 3:],
+        None if truth_only else meas_rec[:n], overshoot, meta)
     prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
         if not truth_only:
             m = measure(t, state[:3], prev)
         if k % record_stride == 0:
-            i = k // record_stride
+            r = k // record_stride
+            i = r % size
             times[i] = t
             rec[i] = state
             if not truth_only:
                 meas_rec[i] = m
+            if on_block is not None and (i == size - 1 or r == n_rec - 1):
+                on_block(records(i + 1, {}))
         if k == n_steps:
             break
 
@@ -251,15 +275,11 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
                 f"component {names[idx]!r} overshot its box by "
                 f"{peaks[idx]:.3e} (> {OVERSHOOT_LIMIT}) at t={t + dt}")
 
-    return Trajectory(
-        times=times,
-        truth=rec[:, :3],
-        observer=None if truth_only else rec[:, 3:],
-        measurements=meas_rec,
-        overshoot={name: v if np.ndim(v) else float(v) for name, v in zip(names, max_over)},
-        meta={"scheme": scheme, "dt": dt, "t0": t0, "t1": t0 + n_steps * dt,
-              "record_stride": record_stride, "clamp": clamp},
-    )
+    return records(
+        (n_rec - 1) % size + 1,
+        {name: v if np.ndim(v) else float(v) for name, v in zip(names, max_over)},
+        scheme=scheme, dt=dt, t0=t0, t1=t0 + n_steps * dt, record_stride=record_stride,
+        clamp=clamp)
 
 
 def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, apply: bool):

@@ -10,10 +10,10 @@ diffusivity: its states are spatially constant fields, component axis
 first, and its right-hand sides add diffusion to the rates of ``theta`` and
 ``theta_hat``.
 
-A within-host system also takes a batch: equal-length arrays of initial
-values and gains, one entry per member.  Its states are then arrays with
-the component axis first and the member axis second, and its box bounds
-span the member axis, so each member keeps its own overshoot.
+Either system also takes a batch: equal-length arrays of initial values
+and gains, one entry per member.  Its states are then arrays with the
+component axis first and the member axis second (then the grid axes), and
+its box bounds span the member axis, so each member keeps its own overshoot.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ class WithinHostSystem:
     ``theta0``, ``v0`` and ``rho0`` are floats for one run, or equal-length
     sequences for a batch; a batch takes its observer gains per member as
     ``gains = (k1, k2)``, two arrays.  ``gains = None`` reads ``p.k1`` and ``p.k2``.
+    ``gains`` stays flat, one entry per member, as :func:`stepping.check_run`
+    takes them; on a grid the observer reads them with a unit axis per grid axis.
     """
 
     component_names = COMPONENTS
@@ -91,15 +93,23 @@ class WithinHostSystem:
         if self.truth0.ndim > 1:  # span the member axis: each member keeps its overshoot
             lo, hi = lo[:, None], hi[:, None]
         self.truth_bounds, self.observer_bounds = (lo[:3], hi[:3]), (lo[3:], hi[3:])
+        self._point_gains = gains
         if self.grid is not None:  # constant fields satisfy the zero-flux boundary
-            self.truth0, self.observer0 = (
-                np.full(a.shape + self.grid.shape, a.reshape(a.shape + (1,) * self.grid.dim))
-                for a in (self.truth0, self.observer0))
+            on_grid = lambda a: a.reshape(a.shape + (1,) * self.grid.dim)
+            self.truth0, self.observer0 = (np.full(a.shape + self.grid.shape, on_grid(a))
+                                           for a in (self.truth0, self.observer0))
+            if gains is not None:
+                self._point_gains = tuple(on_grid(np.asarray(k, dtype=float)) for k in gains)
 
     def cfl_limit(self) -> float:
         if self.grid is None:
             return math.inf
         return cfl_step_limit(self.grid.h, self.grid.dim, self.diffusivity)
+
+    def block_records(self) -> int:
+        """Records per block that :func:`stepping.simulate` hands to a block
+        consumer: those of the blocks of the spatial diagnostics."""
+        return pde.block_records(1 if self.grid is None else math.prod(self.grid.shape))
 
     # states and measurements are tuples of floats, of member arrays or of fields
 
@@ -114,7 +124,7 @@ class WithinHostSystem:
 
     def observer_rhs(self, t: float, z, m):
         rates = ode.observer_rhs(
-            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef, self.gains)
+            t, ode.ObserverState(*z), ode.Measurement(*m), self.p, self.coef, self._point_gains)
         return self._diffused(rates, z[0])
 
     def _diffused(self, rates: tuple, theta):
@@ -128,15 +138,15 @@ class WithinHostSystem:
 class SpatialSystem(WithinHostSystem):
     """Spatial reaction-diffusion model coupled to its spatial observer: the
     coupled system on the grid of ``grid``, with the coefficient profiles of
-    ``sp`` (precomputed once) and its diffusivity."""
+    ``sp`` (precomputed once) and its diffusivity; a batch as for the
+    within-host system."""
 
-    def __init__(self, sp: SpatialParameterSet, grid: pde.Grid,
-                 theta0: float, v0: float, rho0: float,
-                 measurement_mode: str = "exact"):
+    def __init__(self, sp: SpatialParameterSet, grid: pde.Grid, theta0, v0, rho0,
+                 measurement_mode: str = "exact", gains=None):
         self.sp = sp
         self.grid = grid
         self.diffusivity = sp.diffusivity
-        super().__init__(sp.base, theta0, v0, rho0, measurement_mode)
+        super().__init__(sp.base, theta0, v0, rho0, measurement_mode, gains)
         self.coef = pde.spatial_coefficients(grid, sp)
 
     def measure(self, t: float, y: np.ndarray, prev) -> np.ndarray:

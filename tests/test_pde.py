@@ -93,6 +93,35 @@ class TestLaplacian:
         with pytest.raises(ValueError, match="shape"):
             laplacian_neumann(np.zeros(5), Grid(1, 8), 1e-2)
 
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), n=st.integers(2, 9),
+           lead=st.lists(st.integers(1, 3), max_size=2),
+           diffusivity=st.floats(0.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_leading_axes_hold_independent_fields(self, data, dim, n, lead, diffusivity):
+        # each leading index gets what the one-field formula (np.pad in 2-D) gives it
+        g = Grid(dim, n)
+        values = st.floats(-1e6, 1e6, allow_subnormal=False)
+        f = np.array(data.draw(st.lists(values, min_size=n ** dim * int(np.prod(lead)),
+                                        max_size=n ** dim * int(np.prod(lead))))
+                     ).reshape(*lead, *g.shape)
+        out = laplacian_neumann(f, g, diffusivity)
+        assert out.shape == f.shape
+        inv_h2 = diffusivity / (g.h * g.h)
+        for idx in np.ndindex(*lead):
+            one = f[idx]
+            if dim == 1:
+                ref = np.empty_like(one)
+                ref[1:-1] = one[:-2] - 2.0 * one[1:-1] + one[2:]
+                ref[0], ref[-1] = one[1] - one[0], one[-2] - one[-1]
+            else:
+                pad = np.pad(one, 1, mode="edge")
+                ref = pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:] - 4.0 * one
+            assert np.array_equal(out[idx], inv_h2 * ref)
+            # the cell sum telescopes to zero, up to the rounding of each cell
+            # (absolute below the normal range)
+            assert abs(out[idx].sum()) <= (1e-12 * inv_h2 * np.abs(one).sum()
+                                           + one.size * np.finfo(float).smallest_subnormal)
+
 
 class TestAggregate:
     def test_constant(self):

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anthobs import Grid, ParameterSet, SpatialParameterSet, SpatialSystem, WithinHostSystem
-from anthobs import runner, simulate, svgplot
+from anthobs import pde, runner, simulate, svgplot
 from anthobs.cli import main
 from anthobs.config import ConfigError, load_config, load_config_text, write_config
 from anthobs.fileio import write_atomic
@@ -786,6 +787,132 @@ class TestBatchedSweep:
                        for v in r.overshoot.values())
         manifest = (tmp_path / "sweep" / "manifest.txt").read_text().splitlines()
         assert manifest == [f"{r.scenario.label} {r.status}" for r in records]
+
+
+#: Initial pairs of drawn spatial groups: two figure pairs, and the top of the
+#: box, where the sensitivity quotient is one-sided.
+SPATIAL_PAIRS = ((0.75, 0.05), (0.05, 0.5), (1.0, 0.5))
+
+
+@st.composite
+def spatial_groups(draw):
+    """Spatial scenarios that form one group: a 1-D or 2-D grid with ``n <= 8``,
+    a span of a few dozen steps, both schemes and sensors, and 2-4 members
+    drawn from few initial pairs, so that ``k1 > 0`` members may share one."""
+    p = ParameterSet()
+    t0 = draw(st.sampled_from([0.0, 0.4]))
+    shared = dict(dim=draw(st.sampled_from([1, 2])), n=draw(st.integers(2, 8)),
+                  scheme=draw(st.sampled_from(["euler", "rk4"])),
+                  measurement=draw(st.sampled_from(["exact", "finite_difference"])),
+                  t0=t0, t1=t0 + draw(st.integers(20, 60)) * p.dt)
+    runs = draw(st.lists(st.tuples(st.sampled_from(SPATIAL_PAIRS),
+                                   st.sampled_from(runner.GAIN_PAIRS)),
+                         min_size=2, max_size=4, unique=True))
+    return [runner.make_scenario(p, "pde", th, v0, th, k1, k2, **shared)
+            for (th, v0), (k1, k2) in runs]
+
+
+def _spatial_sweep(p, scenarios, out: Path, monkeypatch):
+    """Sweep ``scenarios`` into ``out``; return the records and, for each system
+    the sweep stepped, whether it was truth-only and its member count (1 for
+    a lone run)."""
+    steps = []
+
+    def spy(system, *args, **kwargs):
+        batch = np.ndim(system.truth0) > 1 + system.grid.dim
+        steps.append((kwargs.get("truth_only", False), np.shape(system.truth0)[1] if batch else 1))
+        return simulate(system, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate", spy)
+    records = runner.sweep("custom", p, out_dir=out, scenarios=scenarios)
+    monkeypatch.setattr(runner, "simulate", simulate)
+    return records, steps
+
+
+class TestSpatialGroups:
+    """A sweep steps the spatial scenarios that share grid and numerics as one
+    system and folds their records in blocks; each still writes what its lone
+    run writes."""
+
+    @given(scenarios=spatial_groups(), block=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_each_member_writes_its_lone_run(self, p, scenarios, block):
+        # the group folds blocks of `block` records when drawn; the lone runs
+        # fold their few records in one block
+        sensing = {(s.theta0, s.v0, s.rho0) for s in scenarios if s.k1 > 0.0}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            if block is not None:
+                mp.setattr(pde, "BLOCK_SAMPLES", block * scenarios[0].n ** scenarios[0].dim)
+            records, steps = _spatial_sweep(p, scenarios, root / "sweep", mp)
+            mp.undo()
+            lone = [runner.run_scenario(s, p, out_dir=root / "lone") for s in scenarios]
+            # one truth-only run for every distinct k1 > 0 state, then one batch
+            assert steps == [(True, 2 * len(sensing))] * bool(sensing) + [(False, len(scenarios))]
+            for r, alone, s in zip(records, lone, scenarios):
+                assert (r.status, r.error) == (alone.status, alone.error)
+                assert _artifacts(root / "sweep" / s.label) == _artifacts(
+                    root / "lone" / s.label), s.label
+
+    @pytest.mark.parametrize("case", ["gain_over_cap", "overshoot", "diagnostics"])
+    def test_a_failing_member_fails_alone(self, p, tmp_path, monkeypatch, case):
+        grid = dict(dim=1, n=4, t1=0.005)
+        scenarios = [runner.make_scenario(p, "pde", th, v0, th, k1, k2, **grid)
+                     for (th, v0), (k1, k2) in zip(SPATIAL_PAIRS[:2] * 2, runner.GAIN_PAIRS)]
+        if case == "gain_over_cap":  # built directly: make_scenario refuses it
+            odd = runner.Scenario("pde", 0.5, 0.5, 0.5, 0.0, 2 * gain_cap(p.dt), **grid)
+            message = "gain cap exceeded"
+        else:
+            odd = runner.make_scenario(p, "pde", 1.0, 0.5, 1.0, 0.0, 1e3, **grid)
+        if case == "overshoot":  # 5e-6 a step above the top of the box
+            message = "overshot its box"
+
+            class Pushed(SpatialSystem):
+                def truth_rhs(self, t, y):
+                    dtheta, dv, drho = super().truth_rhs(t, y)
+                    return dtheta + 0.05 * (y[0] >= 1.0), dv, drho
+            monkeypatch.setattr(runner, "SpatialSystem", Pushed)
+        if case == "diagnostics":  # the rows of the odd member alone raise
+            message = "ValueError: no rows at full inhibition"
+            pde_rows = runner._pde_rows
+
+            def refuse(traj, err):
+                if traj.truth[0, 0].min() >= 1.0:
+                    raise ValueError("no rows at full inhibition")
+                return pde_rows(traj, err)
+            monkeypatch.setattr(runner, "_pde_rows", refuse)
+        scenarios.insert(2, odd)
+        records, steps = _spatial_sweep(p, scenarios, tmp_path / "sweep", monkeypatch)
+        lone = [runner.run_scenario(s, p, out_dir=tmp_path / "lone") for s in scenarios]
+        # the sensitivity batch of the two k1 > 0 states, then the group's batch
+        assert steps[:2] == [(True, 4), (False, len(scenarios))]
+        if case == "diagnostics":  # no member ran again
+            assert len(steps) == 2
+        for r, alone, s in zip(records, lone, scenarios):
+            assert r.status == alone.status == ("failed" if s is odd else "ok")
+            assert r.error == alone.error
+            assert _artifacts(tmp_path / "sweep" / s.label) == _artifacts(
+                tmp_path / "lone" / s.label)
+        assert message in records[2].error
+        assert [f.name for f in (tmp_path / "sweep" / odd.label).iterdir()] == ["record.txt"]
+
+    def test_memory_does_not_grow_with_the_span(self, p):
+        # 41 and 401 records: a run keeps one block of records, not all of them
+        peaks = []
+        for t1 in (0.04, 0.4):
+            scenarios = [runner.make_scenario(p, "pde", th, v0, th, 0.0, k2, t1=t1)
+                         for (th, v0), k2 in (((0.75, 0.5), 0.0), ((0.05, 0.05), 1e3))]
+            tracemalloc.start()
+            try:
+                records = runner.sweep("custom", p, scenarios=scenarios)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [r.status for r in records] == ["ok", "ok"]
+        cells = 32 * 32
+        # (5 state + 3 measured) fields per member and record
+        block = pde.block_records(cells) * 8 * len(scenarios) * cells * 8
+        assert abs(peaks[1] - peaks[0]) < block, peaks
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
