@@ -32,6 +32,7 @@ error, the norm of the L2 envelope), then the ``rel_err`` triple.
 from __future__ import annotations
 
 import collections
+import contextvars
 import dataclasses
 import itertools
 import os
@@ -234,15 +235,24 @@ def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
 
 
 def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndarray,
-                         slack: float = 0.0) -> dict[str, str]:
+                         envelopes: dict, slack: float = 0.0) -> dict[str, str]:
     """Exact-law and squared-error envelope verdicts of the error ``e`` at times
-    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts."""
+    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts.
+
+    The unit envelope ``metrics.envelope_series(t, p, 1.0)`` is kept,
+    read-only, in ``envelopes``, the memo of the calling :func:`_run_group` or
+    :func:`check_artifacts` call: it is computed once per distinct time grid
+    and forcing, since it reads no gain and equal time bytes give an equal
+    integral.  The memo is looked up only when a verdict applies."""
     checks: dict[str, str] = {"exact_law": "n/a", "decay_envelope": "n/a"}
     if s.k1 != 0.0 or s.measurement != "exact":
         return checks
+    key = (t.tobytes(), dataclasses.replace(p, k1=0.0, k2=0.0))
+    if key not in envelopes:
+        envelopes[key] = metrics.envelope_series(t, p, 1.0)
+        envelopes[key].flags.writeable = False
     # envelope_series integrates from 0: a run from t0 > 0 starts at its own e(t0)
-    env = metrics.envelope_series(t, p, 1.0)
-    env = float(e[0]) * env / env[0]
+    env = float(e[0]) * envelopes[key] / envelopes[key][0]
     if s.k2 == 0.0:
         worst = float(np.max(np.abs(e - env)))
         checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
@@ -265,12 +275,17 @@ def _envelope_checks_pde(s: Scenario, t: np.ndarray, l2_err: np.ndarray,
 
 
 def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
-              alpha_inf: float, slack: float = 0.0) -> tuple[dict[str, str], float, float]:
+              alpha_inf: float, envelopes: dict,
+              slack: float = 0.0) -> tuple[dict[str, str], float, float]:
     """Envelope verdicts and final absolute and relative errors of a run, read
     from its artifact columns ``col``; the run and :func:`check_artifacts` both
-    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic."""
+    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic.
+    ``envelopes`` is the memo of within-host unit envelopes of one
+    :func:`_run_group` or :func:`check_artifacts` call, one per distinct time
+    grid and forcing (:func:`_envelope_checks_ode`)."""
     if s.model == "ode":
-        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"], slack)
+        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"],
+                                      envelopes, slack)
         return checks, float(col["abs_err"][-1]), float(col["rel_err"][-1])
     checks = _envelope_checks_pde(s, col["t"], col["l2_err"], alpha_inf, slack)
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
@@ -424,7 +439,9 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
     if sens_error is not None:
         return [_failed(first, out_dir, t_start, sens_error)]
     share = (time.perf_counter() - t_start) / len(group)  # of each member's wall clock
-    return [_conclude(s, system, member(traj, j), out_dir, time.perf_counter() - share, folded[j])
+    envelopes: dict = {}  # one unit envelope for the group's time grid and forcing
+    return [_conclude(s, system, member(traj, j), out_dir, time.perf_counter() - share,
+                      folded[j], envelopes)
             for j, s in enumerate(group)]
 
 
@@ -437,7 +454,7 @@ def _scenario_dir(s: Scenario, out_dir) -> Path | None:
 
 
 def _conclude(s: Scenario, system, traj, out_dir, t_start: float,
-              folded: _Folded | None) -> RunRecord:
+              folded: _Folded | None, envelopes: dict) -> RunRecord:
     """Derive the diagnostics and verdicts of scenario ``s`` from its trajectory
     ``traj`` of ``system`` and write its directory: the artifacts, or only the
     record of the failure that the diagnostics or the verdicts raised.  Of a
@@ -451,7 +468,7 @@ def _conclude(s: Scenario, system, traj, out_dir, t_start: float,
         else:
             columns, (rows, report) = PDE_COLUMNS, folded.result()
         checks, final_abs_err, final_rel_err = _verdicts(
-            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
+            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf, envelopes)
     except Exception as exc:  # recorded, the sweep goes on
         return _failed(s, out_dir, t_start, exc)
 
@@ -572,6 +589,12 @@ def sweep(kind: str, p: ParameterSet | None = None,
 # artifact re-verification and plotting
 # ---------------------------------------------------------------------------
 
+#: The memo of unit envelopes of the :func:`check_artifacts` call in progress:
+#: each call sets a fresh one and drops it when it returns.  It cannot be an
+#: argument of :func:`_check_one_dir`, which is called with a directory alone.
+_CHECK_ENVELOPES: contextvars.ContextVar[dict] = contextvars.ContextVar("check_envelopes")
+
+
 def _check_one_dir(directory: Path) -> list[str]:
     csv_path = directory / "series.csv"
     rec_path = directory / "record.txt"
@@ -646,7 +669,8 @@ def _check_one_dir(directory: Path) -> list[str]:
         except ValueError:
             return problems + [f"{directory}: {rec_path.name}: {key} = {rec[key]!r} is not a number"]
     try:
-        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"] or 0.0, nine_digit_slack)
+        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"] or 0.0,
+                                    _CHECK_ENVELOPES.get({}), nine_digit_slack)
     except ValueError as exc:  # a table or record no run writes
         return problems + [f"{directory}: cannot replay the checks: {exc}"]
     for name, verdict in checks.items():
@@ -692,8 +716,20 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     manifest.  Every subdirectory that holds a ``manifest.txt`` is checked as a
     sweep root too.  A damaged snapshot or CSV is a problem of its directory.
     A clean result is an empty list.  Pure function of the on-disk artifacts.
+
+    The within-host envelope verdicts of one call share a memo, so each
+    distinct time grid and forcing costs one quadrature per call; a directory
+    whose times differ in any bit gets its own.  Nothing is kept between calls.
     """
-    run_dir = Path(run_dir)
+    token = _CHECK_ENVELOPES.set({})
+    try:
+        return _check_tree(Path(run_dir))
+    finally:
+        _CHECK_ENVELOPES.reset(token)
+
+
+def _check_tree(run_dir: Path) -> list[str]:
+    """The problems :func:`check_artifacts` reports for ``run_dir``."""
     if not run_dir.exists():
         return [f"{run_dir}: no such directory"]
     sweeps = list(_sweeps(run_dir))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .fileio import write_atomic
 
 __all__ = ["line_plot"]
@@ -45,11 +47,13 @@ def _fmt(x: float) -> str:
 def line_plot(path: str | Path, x, series: list[tuple[str, object]],
               title: str, xlabel: str, ylabel: str) -> None:
     """Write a line plot of ``series = [(label, ys), ...]`` against ``x``."""
-    x = [float(v) for v in x]
-    if not x or not series:
+    x = np.asarray(x, dtype=float)
+    if not len(x) or not series:
         raise ValueError("line_plot needs a nonempty x axis and at least one series")
-    ys_all = [float(v) for _, ys in series for v in ys]
-    x_lo, x_hi = min(x), max(x)
+    ys_each = [np.asarray(ys, dtype=float) for _, ys in series]
+    # the range of Python floats, as min() and max() order them
+    xs, ys_all = x.tolist(), np.concatenate(ys_each).tolist()
+    x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
@@ -61,10 +65,11 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(v: float) -> float:
+    # on a float or elementwise on an array, in the same IEEE operations
+    def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * pw
 
-    def sy(v: float) -> float:
+    def sy(v):
         return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * ph
 
     out = [
@@ -97,9 +102,13 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 20 {MARGIN_T + ph / 2:.1f})">{ylabel}</text>')
 
-    for i, (label, ys) in enumerate(series):
+    px_all = sx(x)
+    for i, ((label, _), ys) in enumerate(zip(series, ys_each)):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, ys))
+        n = min(len(x), len(ys))  # as zip pairs them
+        xy = np.column_stack([px_all[:n], sy(ys[:n])])
+        # one % format per series: the text of f"{v:.2f}" for every coordinate
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
         out.append(f'<polyline class="series" fill="none" stroke="{color}" '
                    f'stroke-width="1.5" points="{pts}"/>')
         ly = MARGIN_T + 16 + 18 * i

@@ -1,6 +1,7 @@
 """Error measures, envelopes and decay-rate estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ class TestEnvelopeSeries:
         for block in (1, 7, 64):
             monkeypatch.setattr(metrics, "ENVELOPE_BLOCK", block)
             assert np.array_equal(envelope_series(times, p, 0.75), whole)
+
+    @given(t0=st.one_of(st.just(0.0), st.floats(1e-3, 0.05)),
+           widths=st.lists(st.floats(1e-4, 0.01), max_size=49),
+           k1=st.floats(0.0, 1e4), k2=st.floats(0.0, 1e4))
+    def test_gains_leave_the_value(self, p, t0, widths, k1, k2):
+        # the runner keeps one envelope per time grid and gain-free parameter set
+        times = t0 + np.cumsum([0.0, *widths])
+        assert np.array_equal(envelope_series(times, replace(p, k1=k1, k2=k2), 1.0),
+                              envelope_series(times, replace(p, k1=0.0, k2=0.0), 1.0))
 
 
 class TestL2Envelope:

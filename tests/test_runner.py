@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anthobs import Grid, ParameterSet, SpatialParameterSet, SpatialSystem, WithinHostSystem
-from anthobs import pde, runner, simulate, svgplot
+from anthobs import metrics, pde, runner, simulate, svgplot
 from anthobs.cli import main
 from anthobs.config import ConfigError, load_config, load_config_text, write_config
 from anthobs.fileio import write_atomic
@@ -667,6 +667,40 @@ class TestSweepAndCheck:
             runner.sweep("custom", p, out_dir=tmp_path / "out", scenarios=[first, twin])
         assert not (tmp_path / "out").exists()
 
+    def test_one_envelope_per_time_grid_and_call(self, p, tmp_path, monkeypatch):
+        # one within-host group: three gain-free members and a k1 > 0 one
+        scenarios = [runner.make_scenario(p, "ode", *triple, k1, k2, t1=0.02)
+                     for triple, k1, k2 in (((0.75, 0.5, 0.25), 0.0, 0.0),
+                                            ((0.75, 0.5, 0.25), 0.0, 1e3),
+                                            ((0.05, 0.05, 0.05), 0.0, 0.0),
+                                            ((0.05, 0.05, 0.05), 1e3, 0.0))]
+        assert len(runner._groups(scenarios)) == 1
+        calls = []
+        envelope_series = metrics.envelope_series
+        monkeypatch.setattr(metrics, "envelope_series",
+                            lambda *args: calls.append(args) or envelope_series(*args))
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=scenarios)
+        assert len(calls) == 1
+        # each call computes its own, and the second one computes it again
+        verdicts = []
+        for _ in range(2):
+            calls.clear()
+            verdicts.append(runner.check_artifacts(tmp_path))
+            assert len(calls) == 1
+        assert verdicts == [[], []]
+        # times shifted far beyond the 9-digit slack: only that directory fails,
+        # as it does when checked alone, with a quadrature of its own
+        shifted = tmp_path / scenarios[2].label
+        csv = shifted / "series.csv"
+        header, *rows = csv.read_text().splitlines()
+        csv.write_text("\n".join([header] + [f"{float(t) + 0.05:.9g},{rest}" for t, rest in
+                                              (row.split(",", 1) for row in rows)]) + "\n")
+        alone = runner.check_artifacts(shifted)
+        assert alone and all(problem.startswith(f"{shifted}: ") for problem in alone)
+        calls.clear()
+        assert runner.check_artifacts(tmp_path) == alone
+        assert len(calls) == 2
+
 
 #: The initial triples of the reference within-host study, and short spans.
 ODE_TRIPLES = sorted({(s.theta0, s.v0, s.rho0)
@@ -966,7 +1000,96 @@ class TestAtomicWrites:
         assert target.read_text() == "a ok\n"
 
 
+def _reference_line_plot(path, x, series, title, xlabel, ylabel) -> None:
+    """``svgplot.line_plot`` as it formatted each point with its own f-string."""
+    from anthobs.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
+                                 WIDTH, _fmt, _ticks)
+    x = [float(v) for v in x]
+    ys_all = [float(v) for _, ys in series for v in ys]
+    x_lo, x_hi = min(x), max(x)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    pw, ph = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+    sx = lambda v: MARGIN_L + (v - x_lo) / (x_hi - x_lo) * pw
+    sy = lambda v: MARGIN_T + (y_hi - v) / (y_hi - y_lo) * ph
+    axis_style = 'stroke="#333333" stroke-width="1"'
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'<line x1="{MARGIN_L}" y1="{MARGIN_T + ph}" x2="{MARGIN_L + pw}" '
+        f'y2="{MARGIN_T + ph}" {axis_style}/>',
+        f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
+        f'y2="{MARGIN_T + ph}" {axis_style}/>',
+    ]
+    for tx in _ticks(x_lo, x_hi):
+        out.append(f'<line x1="{sx(tx):.2f}" y1="{MARGIN_T + ph}" x2="{sx(tx):.2f}" '
+                   f'y2="{MARGIN_T + ph + 5}" {axis_style}/>')
+        out.append(f'<text x="{sx(tx):.2f}" y="{MARGIN_T + ph + 20}" text-anchor="middle" '
+                   f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>')
+    for ty in _ticks(y_lo, y_hi):
+        out.append(f'<line x1="{MARGIN_L - 5}" y1="{sy(ty):.2f}" x2="{MARGIN_L}" '
+                   f'y2="{sy(ty):.2f}" {axis_style}/>')
+        out.append(f'<text x="{MARGIN_L - 9}" y="{sy(ty) + 4:.2f}" text-anchor="end" '
+                   f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
+    out.append(f'<text x="{MARGIN_L + pw / 2:.1f}" y="{HEIGHT - 12}" '
+               f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>')
+    out.append(f'<text x="20" y="{MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="13" '
+               f'transform="rotate(-90 20 {MARGIN_T + ph / 2:.1f})">{ylabel}</text>')
+    for i, (label, ys) in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        pts = " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, ys))
+        out.append(f'<polyline class="series" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5" points="{pts}"/>')
+        ly, lx = MARGIN_T + 16 + 18 * i, MARGIN_L + pw + 12
+        out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                   f'stroke="{color}" stroke-width="2"/>')
+        out.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
+                   f'font-size="12">{label}</text>')
+    out.append("</svg>")
+    Path(path).write_text("\n".join(out) + "\n")
+
+
+@st.composite
+def plot_inputs(draw):
+    """An x axis (increasing, or one value repeated) and 1-4 series over it."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        x = np.full(n, draw(_floats(-1e3, 1e3)))
+    else:
+        x = np.sort(draw(st.lists(_floats(0.0, 1.0), min_size=n, max_size=n))) * 10.0 ** draw(
+            st.integers(-6, 6))
+    series = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # a constant series
+            ys = np.full(n, draw(_floats(-1e6, 1e6)))
+        else:  # signed mantissas over many decades
+            mantissa = np.array(draw(st.lists(_floats(-10.0, 10.0), min_size=n, max_size=n)))
+            ys = mantissa * 10.0 ** np.array(draw(st.lists(st.integers(-30, 30),
+                                                           min_size=n, max_size=n)))
+        series.append((f"series {i}", ys))
+    return x, series
+
+
 class TestPlots:
+    @given(inputs=plot_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_polylines_keep_the_per_point_text(self, inputs):
+        x, series = inputs
+        with tempfile.TemporaryDirectory() as d:
+            new, old = Path(d) / "new.svg", Path(d) / "old.svg"
+            svgplot.line_plot(new, x, series, "title", "t", "y")
+            _reference_line_plot(old, x, series, "title", "t", "y")
+            assert new.read_text() == old.read_text()
+
     @pytest.fixture()
     def run_dirs(self, p, tmp_path, fast_scenarios):
         runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios)
