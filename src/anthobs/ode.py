@@ -47,6 +47,7 @@ __all__ = [
     "make_measurement",
     "condition_report",
     "ConditionFold",
+    "condition_batches",
     "check_conditions",
     "ConditionReport",
 ]
@@ -332,14 +333,13 @@ def condition_report(batches, p: ParameterSet, notes: list[str],
     return fold.report()
 
 
-def check_conditions(traj, p: ParameterSet) -> ConditionReport:
-    """Evaluate the convergence-condition diagnostics along a trajectory.
-
-    ``traj`` is a recorded :class:`~anthobs.stepping.Trajectory` of the
-    coupled within-host system; all records are evaluated in one batch, each
-    forcing called once on the array of recorded times.  Samples where the
-    stability fraction is singular and ``k1*delta != 0`` are excluded and
-    counted; non-evaluable samples are never fatal.
+def condition_batches(traj, p: ParameterSet):
+    """The batch of :class:`ConditionFold` for the records of ``traj``, a
+    recorded :class:`~anthobs.stepping.Trajectory` of the coupled within-host
+    system or a block of one: all its records in one batch, each forcing
+    called once on the array of their times.  Samples where the stability
+    fraction is singular and ``k1*delta != 0`` are excluded and counted;
+    non-evaluable samples are never fatal.
     """
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
@@ -357,5 +357,10 @@ def check_conditions(traj, p: ParameterSet) -> ConditionReport:
             ratio = 1.0 + num / (alpha * eta * v * p.v_max * (1.0 - theta * w))
         excluded = interior_indicator(o.theta_hat) & (
             (v < SINGULAR_TOL) | (np.abs(1.0 - theta * w) < SINGULAR_TOL) | (alpha < SINGULAR_TOL))
-    m = Measurement(*traj.measurements.T)
-    return condition_report([(t, theta, o, m, ratio, excluded)], p, [])
+    yield t, theta, o, Measurement(*traj.measurements.T), ratio, excluded
+
+
+def check_conditions(traj, p: ParameterSet) -> ConditionReport:
+    """Evaluate the convergence-condition diagnostics along a within-host
+    trajectory ``traj``: the report of its :func:`condition_batches`."""
+    return condition_report(condition_batches(traj, p), p, [])

@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 #: Samples (records x cells) per block of the spatial condition diagnostics,
-#: and per member in a block of the records a spatial run hands to the runner;
-#: each block temporary takes 256 KiB.
+#: and per member in a block of the records a run hands to the runner; each
+#: block temporary takes 256 KiB.
 BLOCK_SAMPLES = 2 ** 15
 
 

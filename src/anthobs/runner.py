@@ -7,19 +7,18 @@ the grid, are stepped as one system, with a member per scenario; a lone run
 process pool when asked for workers.  Each member of a group writes what its
 lone run writes.
 
-A within-host run keeps its whole records.  A spatial run never does: it
-hands its records over in blocks while it steps, and each member folds every
-block into its CSV rows and its condition diagnostics.  The volume
-sensitivity of the ``k1 > 0`` members of a spatial group comes from one
-truth-only run, which keeps only the sensitivity field of each distinct
-initial state.
+No run keeps its whole records: a group hands them over in blocks while it
+steps, and each member folds every block into its CSV rows and its condition
+diagnostics, the same way for both models.  The volume sensitivity of the
+``k1 > 0`` members of a spatial group comes from one truth-only run, which
+keeps only the sensitivity field of each distinct initial state.
 
 Each scenario writes one directory containing a configuration snapshot
 (``config.txt``), the recorded time series (``series.csv``, 9 significant
 digits), a key-value run summary (``record.txt``) and two SVG plots.  The
 verdicts in the summary are recomputable from the CSV and snapshot alone:
-:func:`check_artifacts` replays them and reports any divergence, so a
-tampered artifact never passes.
+:func:`check_artifacts` replays them and reports any divergence, though a
+forgery that agrees with itself passes, since it re-runs nothing.
 
 CSV schemas
 -----------
@@ -32,7 +31,6 @@ error, the norm of the L2 envelope), then the ``rel_err`` triple.
 from __future__ import annotations
 
 import collections
-import contextvars
 import dataclasses
 import itertools
 import os
@@ -291,17 +289,16 @@ def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
 
 
-def _volume_sensitivity(s, sp: SpatialParameterSet, grid):
-    """d v / d theta(0) per recorded time of scenario ``s``, from two perturbed
-    truth runs; of each scenario of a list ``s`` (which share span, scheme and
-    sensor), a list of fields, one per distinct initial state.
+def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) -> list:
+    """d v / d theta(0) per recorded time of each scenario of ``group`` (which
+    share span, scheme and sensor), from two perturbed truth runs of each
+    distinct initial state: one field per scenario.
 
     The truths from theta(0) +- ``SENSITIVITY_DELTA`` of every distinct state
     step as one truth-only batch, which keeps only each state's quotient.
     The perturbed initial rates are clamped into ``[0, 1]``, so at the box
     edge the quotient is one-sided; it always divides by the actual spread.
     """
-    group = s if isinstance(s, list) else [s]
     first, states = group[0], list(dict.fromkeys((x.theta0, x.v0, x.rho0) for x in group))
     # members (+, -) of each state in turn
     thetas = np.array([[min(1.0, max(0.0, theta0 + sign * SENSITIVITY_DELTA))
@@ -324,17 +321,18 @@ def _volume_sensitivity(s, sp: SpatialParameterSet, grid):
     simulate(system, first.t0, first.t1, sp.base.dt, first.scheme, RECORD_STRIDE,
              truth_only=True, on_block=keep)
     by_state = dict(zip(states, fields))
-    out = [by_state[(x.theta0, x.v0, x.rho0)] for x in group]
-    return out if isinstance(s, list) else out[0]
+    return [by_state[(x.theta0, x.v0, x.rho0)] for x in group]
 
 
 class _Folded:
-    """The CSV rows and condition diagnostics of spatial scenario ``s``, a
-    member of a run of ``system``, folded from the blocks of its records in
-    time order (:meth:`add`); the first error either raises is kept."""
+    """The CSV rows and condition diagnostics of scenario ``s``, a member of a
+    run of ``system``, folded from the blocks of its records in time order
+    (:meth:`add`) by its model's functions, looked up per group since
+    benchmarks/tracing.py patches them; the first error either raises is kept."""
 
-    def __init__(self, s: Scenario, system, sensitivity):
+    def __init__(self, s: Scenario, system, columns, rows, errors, batches, sensitivity):
         self.p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
+        self.columns, self.to_rows, self.errors, self.batches = columns, rows, errors, batches
         self.sensitivity = sensitivity
         self.fold = ode.ConditionFold(self.p_run, [], system.coef)
         self.rows: list[np.ndarray] = []
@@ -344,9 +342,8 @@ class _Folded:
     def add(self, block) -> None:
         if self.error is None:
             try:
-                self.rows.append(_pde_rows(block, metrics.error_series_pde(block)))
-                for batch in pde.condition_batches(block, self.p_run, self.sensitivity,
-                                                   self.filled):
+                self.rows.append(self.to_rows(block, self.errors(block)))
+                for batch in self.batches(block, self.p_run, self.sensitivity, self.filled):
                     self.fold.add(*batch)
             except Exception as exc:  # fails this member alone
                 self.error = exc
@@ -393,12 +390,12 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
     A group of one steps its float within-host system or its spatial system;
     a group of several one system with a member per scenario.  A spatial
     group first computes the volume sensitivity of its ``k1 > 0`` members,
-    one truth-only run for all (:func:`_volume_sensitivity`), and then hands
-    each block of its records to every member's :class:`_Folded`; an error
-    in one member's diagnostics fails that member alone.  When a group of
-    several is refused or its stepping raises, each member runs as a group
-    of one, so a failing scenario fails by itself with the error of its lone
-    run.
+    one truth-only run for all (:func:`_volume_sensitivity`).  Every group
+    hands each block of its records to every member's :class:`_Folded`; an
+    error in one member's diagnostics fails that member alone.  When a group
+    of several is refused or its stepping raises, each member runs as a
+    group of one, so a failing scenario fails by itself with the error of
+    its lone run.
     """
     t_start = time.perf_counter()
     first = group[0]
@@ -408,7 +405,7 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
               (lambda key: np.array([getattr(s, key) for s in group])))
     initial, gains = [column(key) for key in ("theta0", "v0", "rho0")], (column("k1"), column("k2"))
     member = (lambda traj, j: traj.member(j)) if len(group) > 1 else (lambda traj, j: traj)
-    folded, on_block, sens_error = [None] * len(group), None, None
+    by_label, sens_error = {}, None
     try:
         if first.model == "pde":
             system = SpatialSystem(dataclasses.replace(sp or SpatialParameterSet(), base=p),
@@ -423,13 +420,17 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
                 # a lone run fails with it, unless its own stepping raises first
                 fields, sens_error = [None], exc
             by_label = dict(zip((s.label for s in sensing), fields))
-            folded = [_Folded(s, system, by_label.get(s.label)) for s in group]
-
-            def on_block(block):
-                for j, fold in enumerate(folded):
-                    fold.add(member(block, j))
+            model = (PDE_COLUMNS, _pde_rows, metrics.error_series_pde, pde.condition_batches)
         else:
             system = WithinHostSystem(p, *initial, first.measurement, gains=gains)
+            model = (ODE_COLUMNS, _ode_rows, metrics.error_series_ode,
+                     lambda block, p_run, _sensitivity, _start: ode.condition_batches(block, p_run))
+        folded = [_Folded(s, system, *model, by_label.get(s.label)) for s in group]
+
+        def on_block(block):
+            for j, fold in enumerate(folded):
+                fold.add(member(block, j))
+
         traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE,
                         on_block=on_block)
     except Exception as exc:
@@ -440,8 +441,8 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
         return [_failed(first, out_dir, t_start, sens_error)]
     share = (time.perf_counter() - t_start) / len(group)  # of each member's wall clock
     envelopes: dict = {}  # one unit envelope for the group's time grid and forcing
-    return [_conclude(s, system, member(traj, j), out_dir, time.perf_counter() - share,
-                      folded[j], envelopes)
+    return [_conclude(s, system, member(traj, j).overshoot, out_dir,
+                      time.perf_counter() - share, folded[j], envelopes)
             for j, s in enumerate(group)]
 
 
@@ -453,20 +454,17 @@ def _scenario_dir(s: Scenario, out_dir) -> Path | None:
     return directory
 
 
-def _conclude(s: Scenario, system, traj, out_dir, t_start: float,
-              folded: _Folded | None, envelopes: dict) -> RunRecord:
-    """Derive the diagnostics and verdicts of scenario ``s`` from its trajectory
-    ``traj`` of ``system`` and write its directory: the artifacts, or only the
-    record of the failure that the diagnostics or the verdicts raised.  Of a
-    spatial run ``traj`` holds the last block, and ``folded`` every block."""
-    p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
-    sp_run = dataclasses.replace(system.sp, base=p_run) if s.model == "pde" else None
+def _conclude(s: Scenario, system, overshoot: dict, out_dir, t_start: float,
+              folded: _Folded, envelopes: dict) -> RunRecord:
+    """Derive the verdicts of scenario ``s``, a member of a run of ``system``
+    with the overshoot maxima ``overshoot``, from the rows and condition
+    report that ``folded`` took from every block of its records, and write
+    its directory: the artifacts, or only the record of the failure that the
+    diagnostics or the verdicts raised."""
+    p_run, columns = folded.p_run, folded.columns
+    sp_run = system.sp and dataclasses.replace(system.sp, base=p_run)
     try:
-        if s.model == "ode":
-            columns, rows = ODE_COLUMNS, _ode_rows(traj, metrics.error_series_ode(traj))
-            report = ode.check_conditions(traj, p_run)
-        else:
-            columns, (rows, report) = PDE_COLUMNS, folded.result()
+        rows, report = folded.result()
         checks, final_abs_err, final_rel_err = _verdicts(
             s, p_run, dict(zip(columns, rows.T)), report.alpha_inf, envelopes)
     except Exception as exc:  # recorded, the sweep goes on
@@ -475,7 +473,7 @@ def _conclude(s: Scenario, system, traj, out_dir, t_start: float,
     directory = _scenario_dir(s, out_dir)
     record = RunRecord(
         scenario=s, status="ok", error=None, wall_clock_s=time.perf_counter() - t_start,
-        overshoot=traj.overshoot, final_abs_err=final_abs_err, final_rel_err=final_rel_err,
+        overshoot=overshoot, final_abs_err=final_abs_err, final_rel_err=final_rel_err,
         checks=checks, condition=_condition_summary(report),
         out_dir=str(directory) if directory else None)
     if directory is not None:
@@ -589,13 +587,7 @@ def sweep(kind: str, p: ParameterSet | None = None,
 # artifact re-verification and plotting
 # ---------------------------------------------------------------------------
 
-#: The memo of unit envelopes of the :func:`check_artifacts` call in progress:
-#: each call sets a fresh one and drops it when it returns.  It cannot be an
-#: argument of :func:`_check_one_dir`, which is called with a directory alone.
-_CHECK_ENVELOPES: contextvars.ContextVar[dict] = contextvars.ContextVar("check_envelopes")
-
-
-def _check_one_dir(directory: Path) -> list[str]:
+def _check_one_dir(directory: Path, envelopes: dict) -> list[str]:
     csv_path = directory / "series.csv"
     rec_path = directory / "record.txt"
     cfg_path = directory / "config.txt"
@@ -633,12 +625,17 @@ def _check_one_dir(directory: Path) -> list[str]:
     nine_digit_slack = 1e-7
     problems: list[str] = []
 
+    # a time written to 9 significant digits is off by at most 5e-9 of
+    # itself, so a stride moves by at most 1e-8 * max|t| either way
+    time_slack = 1e-8 * np.max(np.abs(t))
     if len(t) > 1:
-        # a time written to 9 significant digits is off by at most 5e-9 of
-        # itself, so a stride moves by at most 1e-8 * max|t| either way
         strides = np.diff(t)
-        if np.any(strides <= 0) or np.ptp(strides) > 2e-8 * np.max(np.abs(t)):
+        if np.any(strides <= 0) or np.ptp(strides) > 2 * time_slack:
             problems.append(f"{directory}: time axis is not a uniform grid")
+    n_rec = step_count(s.t0, s.t1, p.dt) // RECORD_STRIDE + 1
+    last = s.t0 + (len(t) - 1) * RECORD_STRIDE * p.dt
+    if len(t) != n_rec or max(abs(t[0] - s.t0), abs(t[-1] - last)) > time_slack:
+        problems.append(f"{directory}: time axis is not the records of the snapshot's span")
 
     for name, lo, hi in zip(COMPONENTS, *state_box(p)):
         for key in (name, f"{name}_min", f"{name}_max"):
@@ -664,13 +661,15 @@ def _check_one_dir(directory: Path) -> list[str]:
 
     numbers = {}
     for key in ("cond_alpha_inf", "final_abs_err", "final_rel_err"):
+        if key not in rec:
+            return problems + [f"{directory}: {rec_path.name}: no {key}"]
         try:
-            numbers[key] = float(rec[key]) if key in rec else None
+            numbers[key] = float(rec[key])
         except ValueError:
             return problems + [f"{directory}: {rec_path.name}: {key} = {rec[key]!r} is not a number"]
     try:
-        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"] or 0.0,
-                                    _CHECK_ENVELOPES.get({}), nine_digit_slack)
+        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"], envelopes,
+                                    nine_digit_slack)
     except ValueError as exc:  # a table or record no run writes
         return problems + [f"{directory}: cannot replay the checks: {exc}"]
     for name, verdict in checks.items():
@@ -680,8 +679,7 @@ def _check_one_dir(directory: Path) -> list[str]:
                 f"{directory}: check {name} recomputes to {verdict!r}"
                 f" but record says {recorded!r}")
     for name, fresh in zip(("final_abs_err", "final_rel_err"), finals):
-        recorded = numbers[name]
-        if recorded is None or not abs(recorded - fresh) <= nine_digit_slack:
+        if not abs(numbers[name] - fresh) <= nine_digit_slack:
             problems.append(f"{directory}: {name} does not match the CSV")
     return problems
 
@@ -715,29 +713,25 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     ``<root>/<label>``, and a line of any other shape is a problem of the
     manifest.  Every subdirectory that holds a ``manifest.txt`` is checked as a
     sweep root too.  A damaged snapshot or CSV is a problem of its directory.
-    A clean result is an empty list.  Pure function of the on-disk artifacts.
+    A clean result is an empty list.  Pure function of the on-disk artifacts:
+    the times must be the records of the snapshot's span, and the verdicts and
+    final errors must replay from the CSV, but nothing is re-run, so states
+    forged to agree with the error columns and the record pass.
 
     The within-host envelope verdicts of one call share a memo, so each
     distinct time grid and forcing costs one quadrature per call; a directory
     whose times differ in any bit gets its own.  Nothing is kept between calls.
     """
-    token = _CHECK_ENVELOPES.set({})
-    try:
-        return _check_tree(Path(run_dir))
-    finally:
-        _CHECK_ENVELOPES.reset(token)
-
-
-def _check_tree(run_dir: Path) -> list[str]:
-    """The problems :func:`check_artifacts` reports for ``run_dir``."""
+    run_dir = Path(run_dir)
     if not run_dir.exists():
         return [f"{run_dir}: no such directory"]
     sweeps = list(_sweeps(run_dir))
     found = any(dirs for _, dirs in sweeps)
     problems: list[str] = [] if found else [f"{run_dir}: no scenario artifacts found"]
+    envelopes: dict = {}
     for root, dirs in sweeps:
         for d in dirs:
-            problems.extend(_check_one_dir(d))
+            problems.extend(_check_one_dir(d, envelopes))
         if root is None or not (root / "manifest.txt").exists():
             continue
         manifest = root / "manifest.txt"

@@ -28,8 +28,8 @@ A run may instead hand its records over in blocks, to a block consumer
 ``block_records()`` records, and each time it is full (and at the last
 record) the consumer gets it as a :class:`Trajectory` of those records, in
 time order, before the buffer is reused.  Its memory then does not grow with
-the span.  A spatial run of the runner folds each block into its CSV rows
-and its condition diagnostics.
+the span.  Every run of the runner, of either model, folds each block into
+its CSV rows and its condition diagnostics.
 
 The overshoot is reduced over the state axes that the box bounds do not
 span (the grid axes of a field).  A batch's bounds span its member axis

@@ -77,7 +77,7 @@ class WithinHostSystem:
     """
 
     component_names = COMPONENTS
-    grid = None
+    grid = sp = None
     coef = ode.UNIT
 
     def __init__(self, p: ParameterSet, theta0, v0, rho0,
@@ -108,7 +108,7 @@ class WithinHostSystem:
 
     def block_records(self) -> int:
         """Records per block that :func:`stepping.simulate` hands to a block
-        consumer: those of the blocks of the spatial diagnostics."""
+        consumer: ``pde.BLOCK_SAMPLES`` samples of a point or a field."""
         return pde.block_records(1 if self.grid is None else math.prod(self.grid.shape))
 
     # states and measurements are tuples of floats, of member arrays or of fields

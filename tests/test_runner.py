@@ -259,7 +259,7 @@ class TestVolumeSensitivity:
         s = runner.make_scenario(p, "pde", 1.0, 0.5, 1.0, 1e3, 0.0, t1=0.01, dim=1, n=4)
         sp1 = SpatialParameterSet(base=replace(p, k1=1e3))
         grid = Grid(1, 4)
-        sens = runner._volume_sensitivity(s, sp1, grid)
+        sens = runner._volume_sensitivity([s], sp1, grid)[0]
         lower = 1.0 - runner.SENSITIVITY_DELTA
         v = [simulate(SpatialSystem(sp1, grid, theta0, 0.5, 1.0), 0.0, 0.01, p.dt,
                       record_stride=runner.RECORD_STRIDE, truth_only=True).truth[:, 1]
@@ -563,7 +563,7 @@ class TestSweepAndCheck:
         checked = []
         check_one = runner._check_one_dir
         monkeypatch.setattr(runner, "_check_one_dir",
-                            lambda d: checked.append(d) or check_one(d))
+                            lambda d, envelopes: checked.append(d) or check_one(d, envelopes))
         (problem,) = runner.check_artifacts(tmp_path)
         assert re.fullmatch(rf"{re.escape(str(damaged))}: record\.txt: {key} = 'x.*'"
                             " is not a number", problem)
@@ -597,7 +597,8 @@ class TestSweepAndCheck:
         checked = []
         check_one = runner._check_one_dir
         monkeypatch.setattr(runner, "_check_one_dir",
-                            lambda directory: checked.append(directory) or check_one(directory))
+                            lambda directory, envelopes:
+                            checked.append(directory) or check_one(directory, envelopes))
         problems = runner.check_artifacts(tmp_path)
         assert problems[-1] == f"{d}: cannot replay the checks: {reason}"
         assert all(problem.startswith(f"{d}: ") for problem in problems)
@@ -627,7 +628,8 @@ class TestSweepAndCheck:
         checked = []
         check_one = runner._check_one_dir
         monkeypatch.setattr(runner, "_check_one_dir",
-                            lambda directory: checked.append(directory) or check_one(directory))
+                            lambda directory, envelopes:
+                            checked.append(directory) or check_one(directory, envelopes))
         assert runner.check_artifacts(tmp_path) == [
             f"{d}: column {name} is not finite at t={t}" for name in columns]
         assert checked == [d, tmp_path / healthy.label]
@@ -643,6 +645,35 @@ class TestSweepAndCheck:
         csv = tmp_path / s.label / "series.csv"
         self._edit_csv(csv, "t", 100, lambda x: f"{x + 1e-6:.9g}")
         assert f"{csv.parent}: time axis is not a uniform grid" in runner.check_artifacts(tmp_path)
+
+    @pytest.mark.parametrize("forgery", ["rescaled", "halved", "first_row_dropped"])
+    @pytest.mark.parametrize("model", ["ode", "pde"])
+    def test_time_axis_off_the_snapshot_reported(self, p, tmp_path, model, forgery):
+        # k1 > 0 runs, whose verdicts read no time: each forged axis is still a
+        # uniform grid, and only the snapshot's t0, t1 and dt tell it apart
+        theta0, rho0, grid = (0.75, 0.25, {}) if model == "ode" else (0.5, 0.5, {"dim": 1, "n": 4})
+        s = runner.make_scenario(p, model, theta0, 0.5, rho0, 1e3, 0.0, t1=0.02, **grid)
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=[s])
+        assert runner.check_artifacts(tmp_path) == []
+        csv = tmp_path / s.label / "series.csv"
+        lines = csv.read_text().splitlines()
+        if forgery == "first_row_dropped":
+            csv.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        else:
+            edit = (lambda x: f"{x * 0.5 + 0.3:.9g}") if forgery == "rescaled" else (
+                lambda x: f"{x * 0.5:.9g}")
+            for row in range(1, len(lines)):
+                self._edit_csv(csv, "t", row, edit)
+        assert runner.check_artifacts(tmp_path) == [
+            f"{csv.parent}: time axis is not the records of the snapshot's span"]
+
+    @pytest.mark.parametrize("key", ["cond_alpha_inf", "final_rel_err"])
+    def test_record_value_missing_reported(self, p, tmp_path, fast_scenarios, key):
+        # the gain-free spatial run, whose L2 envelope verdict reads cond_alpha_inf
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[2:])
+        rec = tmp_path / fast_scenarios[2].label / "record.txt"
+        rec.write_text(re.sub(rf"^{key} = .*\n", "", rec.read_text(), flags=re.M))
+        assert runner.check_artifacts(tmp_path) == [f"{rec.parent}: record.txt: no {key}"]
 
     @pytest.mark.parametrize("text", ["", "t,theta\n", "t,theta\n0.0,0.5\n0.1\n"])
     def test_empty_or_ragged_csv_reported(self, p, tmp_path, fast_scenarios, text):
@@ -782,6 +813,42 @@ class TestBatchedSweep:
                 assert set(swept) == {"config.txt", "series.csv", "record.txt",
                                       "estimate.svg", "error.svg"}
                 assert swept == _artifacts(root / "lone" / s.label), s.label
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_block_size_leaves_every_artifact_unchanged(self, p, data):
+        # spans from t0 > 0, the longer over alpha's zeros at 0.75 and 0.8, where
+        # the k1 > 0 members exclude singular samples: both fold across blocks
+        t0, t1 = data.draw(st.sampled_from([(0.4, 0.41), (0.74, 0.81)]))
+        runs = data.draw(st.lists(st.tuples(st.sampled_from(ODE_TRIPLES),
+                                            st.sampled_from(runner.GAIN_PAIRS)),
+                                  min_size=1, max_size=4, unique=True)
+                         .filter(lambda runs: any(k1 > 0.0 for _, (k1, _) in runs)))
+        numerics = dict(scheme=data.draw(st.sampled_from(["euler", "rk4"])),
+                        measurement=data.draw(st.sampled_from(["exact", "finite_difference"])),
+                        t0=t0, t1=t1)
+        scenarios = [runner.make_scenario(p, "ode", *triple, *gains, **numerics)
+                     for triple, gains in runs]
+        n_rec = runner.step_count(t0, t1, p.dt) // runner.RECORD_STRIDE + 1
+        block = data.draw(st.integers(1, n_rec))
+        blocks = []
+
+        def spy(system, *args, on_block, **kwargs):
+            return simulate(system, *args, **kwargs,
+                            on_block=lambda b: blocks.append(len(b)) or on_block(b))
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            runner.sweep("custom", p, out_dir=root / "one", scenarios=scenarios)
+            mp.setattr(pde, "BLOCK_SAMPLES", block)
+            mp.setattr(runner, "simulate", spy)
+            records = runner.sweep("custom", p, out_dir=root / "blocks", scenarios=scenarios)
+            assert blocks == [block] * (n_rec // block) + [n_rec % block] * bool(n_rec % block)
+            assert [r.status for r in records] == ["ok"] * len(scenarios)
+            for s in scenarios:
+                assert _artifacts(root / "blocks" / s.label) == _artifacts(
+                    root / "one" / s.label), s.label
+            assert runner.check_artifacts(root / "blocks") == []
 
     @pytest.mark.parametrize("case", ["gain_over_cap", "overshoot", "clamped"])
     def test_a_failing_member_fails_alone(self, p, tmp_path, monkeypatch, case):
