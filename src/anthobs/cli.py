@@ -23,8 +23,9 @@ from .params import validate_spatial
 
 __all__ = ["main"]
 
-WORKERS_HELP = ("processes that run the sweep's groups: each batch of within-host"
-                " scenarios that share scheme, sensor and span, and each spatial scenario")
+WORKERS_HELP = ("processes that run the sweep's groups: the scenarios that share model,"
+                " scheme, sensor and span, and for spatial ones the grid, form one group"
+                " (paper-pde is one group, which workers do not split)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

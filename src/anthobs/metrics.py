@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forcing
+from . import forcing, pde
 from .params import ParameterSet
 
 __all__ = [
@@ -89,14 +89,13 @@ def error_series_pde(traj, floor: float = REL_ERR_FLOOR) -> ErrorSeries:
     axes = tuple(range(1, theta.ndim))
     abs_err = np.abs(theta - theta_hat)
     rel_err = relative_abs_error(theta, theta_hat, floor)
-    agg = lambda f: np.stack(
-        [f.min(axis=axes), f.mean(axis=axes), f.max(axis=axes)], axis=1)
+    abs_agg, rel_agg = (np.stack(pde.aggregate(f, axes), axis=1) for f in (abs_err, rel_err))
     return ErrorSeries(
         times=traj.times,
-        abs_err=abs_err.mean(axis=axes),
-        rel_err=rel_err.mean(axis=axes),
-        abs_agg=agg(abs_err),
-        rel_agg=agg(rel_err),
+        abs_err=abs_agg[:, 1],
+        rel_err=rel_agg[:, 1],
+        abs_agg=abs_agg,
+        rel_agg=rel_agg,
         l2_err=np.sqrt((abs_err ** 2).mean(axis=axes)),  # unit domain: h^dim * sum = mean
     )
 

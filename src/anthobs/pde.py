@@ -63,10 +63,7 @@ class Grid:
     def centers(self) -> np.ndarray:
         """Cell-centre coordinates, shape ``(*shape, dim)``."""
         axis = (np.arange(self.n) + 0.5) * self.h
-        if self.dim == 1:
-            return axis[:, None]
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([gx, gy], axis=-1)
+        return np.stack(np.meshgrid(*[axis] * self.dim, indexing="ij"), axis=-1)
 
 
 def laplacian_neumann(f: np.ndarray, grid: Grid, diffusivity: float) -> np.ndarray:
@@ -116,11 +113,10 @@ def block_records(cells: int) -> int:
     return max(1, BLOCK_SAMPLES // cells)
 
 
-def aggregate(f: np.ndarray) -> tuple[float, float, float]:
-    """Spatial ``(min, mean, max)`` of a field."""
-    if f.size == 0:
-        raise ValueError("empty field")
-    return float(np.min(f)), float(np.mean(f)), float(np.max(f))
+def aggregate(f: np.ndarray, axes: tuple[int, ...] | None = None) -> tuple:
+    """Spatial ``(min, mean, max)`` of ``f`` over ``axes``, by default of the
+    whole field; ``ValueError`` when a reduction has no element."""
+    return f.min(axis=axes), f.mean(axis=axes), f.max(axis=axes)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ Each scenario writes one directory containing a configuration snapshot
 digits), a key-value run summary (``record.txt``) and two SVG plots.  The
 verdicts in the summary are recomputable from the CSV and snapshot alone:
 :func:`check_artifacts` replays them and reports any divergence, though a
-forgery that agrees with itself passes, since it re-runs nothing.
+forgery that agrees with itself and keeps the first row passes, since it
+re-runs nothing.
 
 CSV schemas
 -----------
@@ -223,13 +224,9 @@ def _ode_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
 
 def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
     axes = tuple(range(1, traj.truth[:, 0].ndim))
-    agg = lambda f: [f.min(axis=axes), f.mean(axis=axes), f.max(axis=axes)]
-    cols = [traj.times]
-    cols += agg(traj.truth[:, 0])
-    cols += agg(traj.observer[:, 0])
-    cols += [err.abs_agg[:, 0], err.abs_agg[:, 1], err.abs_agg[:, 2], err.l2_err]
-    cols += [err.rel_agg[:, 0], err.rel_agg[:, 1], err.rel_agg[:, 2]]
-    return np.column_stack(cols)
+    return np.column_stack([traj.times, *pde.aggregate(traj.truth[:, 0], axes),
+                            *pde.aggregate(traj.observer[:, 0], axes),
+                            *err.abs_agg.T, err.l2_err, *err.rel_agg.T])
 
 
 def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndarray,
@@ -289,10 +286,10 @@ def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
 
 
-def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) -> list:
-    """d v / d theta(0) per recorded time of each scenario of ``group`` (which
+def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) -> dict:
+    """d v / d theta(0) per recorded time for the scenarios of ``group`` (which
     share span, scheme and sensor), from two perturbed truth runs of each
-    distinct initial state: one field per scenario.
+    distinct initial state: one field per state ``(theta0, v0, rho0)``.
 
     The truths from theta(0) +- ``SENSITIVITY_DELTA`` of every distinct state
     step as one truth-only batch, which keeps only each state's quotient.
@@ -320,8 +317,7 @@ def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) ->
 
     simulate(system, first.t0, first.t1, sp.base.dt, first.scheme, RECORD_STRIDE,
              truth_only=True, on_block=keep)
-    by_state = dict(zip(states, fields))
-    return [by_state[(x.theta0, x.v0, x.rho0)] for x in group]
+    return dict(zip(states, fields))
 
 
 class _Folded:
@@ -390,12 +386,13 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
     A group of one steps its float within-host system or its spatial system;
     a group of several one system with a member per scenario.  A spatial
     group first computes the volume sensitivity of its ``k1 > 0`` members,
-    one truth-only run for all (:func:`_volume_sensitivity`).  Every group
-    hands each block of its records to every member's :class:`_Folded`; an
-    error in one member's diagnostics fails that member alone.  When a group
-    of several is refused or its stepping raises, each member runs as a
-    group of one, so a failing scenario fails by itself with the error of
-    its lone run.
+    one truth-only run for all (:func:`_volume_sensitivity`), and each
+    member takes the field of its initial state.  Every group hands each
+    block of its records to every member's :class:`_Folded`; an error in one
+    member's diagnostics fails that member alone.  When building the system,
+    the sensitivity or the stepping raises, a group of one fails with that
+    error and a group of several runs each member as a group of one, so a
+    failing scenario fails by itself with the error of its lone run.
     """
     t_start = time.perf_counter()
     first = group[0]
@@ -405,27 +402,22 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
               (lambda key: np.array([getattr(s, key) for s in group])))
     initial, gains = [column(key) for key in ("theta0", "v0", "rho0")], (column("k1"), column("k2"))
     member = (lambda traj, j: traj.member(j)) if len(group) > 1 else (lambda traj, j: traj)
-    by_label, sens_error = {}, None
+    fields = {}
     try:
         if first.model == "pde":
             system = SpatialSystem(dataclasses.replace(sp or SpatialParameterSet(), base=p),
                                    pde.Grid(first.dim, first.n), *initial, first.measurement,
                                    gains)
             sensing = [s for s in group if s.k1 > 0.0]
-            try:
-                fields = _volume_sensitivity(sensing, system.sp, system.grid) if sensing else []
-            except Exception as exc:
-                if len(group) > 1:
-                    raise
-                # a lone run fails with it, unless its own stepping raises first
-                fields, sens_error = [None], exc
-            by_label = dict(zip((s.label for s in sensing), fields))
+            if sensing:
+                fields = _volume_sensitivity(sensing, system.sp, system.grid)
             model = (PDE_COLUMNS, _pde_rows, metrics.error_series_pde, pde.condition_batches)
         else:
             system = WithinHostSystem(p, *initial, first.measurement, gains=gains)
             model = (ODE_COLUMNS, _ode_rows, metrics.error_series_ode,
                      lambda block, p_run, _sensitivity, _start: ode.condition_batches(block, p_run))
-        folded = [_Folded(s, system, *model, by_label.get(s.label)) for s in group]
+        folded = [_Folded(s, system, *model, fields.get((s.theta0, s.v0, s.rho0)))
+                  for s in group]
 
         def on_block(block):
             for j, fold in enumerate(folded):
@@ -437,8 +429,6 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
         if len(group) == 1:
             return [_failed(first, out_dir, t_start, exc)]
         return [r for s in group for r in _run_group([s], p, sp, out_dir)]
-    if sens_error is not None:
-        return [_failed(first, out_dir, t_start, sens_error)]
     share = (time.perf_counter() - t_start) / len(group)  # of each member's wall clock
     envelopes: dict = {}  # one unit envelope for the group's time grid and forcing
     return [_conclude(s, system, member(traj, j).overshoot, out_dir,
@@ -636,6 +626,11 @@ def _check_one_dir(directory: Path, envelopes: dict) -> list[str]:
     last = s.t0 + (len(t) - 1) * RECORD_STRIDE * p.dt
     if len(t) != n_rec or max(abs(t[0] - s.t0), abs(t[-1] - last)) > time_slack:
         problems.append(f"{directory}: time axis is not the records of the snapshot's span")
+    # a run records its observer at t0 as theta_hat = 0, and within host v_hat = v
+    start = [col[key][0] for key in col if key.startswith("theta_hat")]
+    start += [col["v_hat"][0] - col["v"][0]] if s.model == "ode" else []
+    if abs(t[0] - s.t0) <= time_slack and any(start):
+        problems.append(f"{directory}: first row is not the observer's initial state")
 
     for name, lo, hi in zip(COMPONENTS, *state_box(p)):
         for key in (name, f"{name}_min", f"{name}_max"):
@@ -708,15 +703,16 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     """Re-verify every scenario artifact below ``run_dir``; return problems.
 
     Accepts either one scenario directory or a sweep root.  A sweep root's
-    ``manifest.txt``, when present, must list every scenario as ``label ok``
-    with a checked directory; any other entry is a problem of
-    ``<root>/<label>``, and a line of any other shape is a problem of the
-    manifest.  Every subdirectory that holds a ``manifest.txt`` is checked as a
-    sweep root too.  A damaged snapshot or CSV is a problem of its directory.
-    A clean result is an empty list.  Pure function of the on-disk artifacts:
-    the times must be the records of the snapshot's span, and the verdicts and
-    final errors must replay from the CSV, but nothing is re-run, so states
-    forged to agree with the error columns and the record pass.
+    ``manifest.txt``, when present, must list every checked directory, and
+    every scenario as ``label ok`` with a checked directory; any other entry
+    or directory is a problem of ``<root>/<label>``, and a line of any other
+    shape is a problem of the manifest.  Every subdirectory that holds a
+    ``manifest.txt`` is checked as a sweep root too.  A damaged snapshot or
+    CSV is a problem of its directory.  A clean result is an empty list.
+    Pure function of the on-disk artifacts: the times must be the records of
+    the snapshot's span, from the observer's initial state, and the verdicts
+    and final errors must replay from the CSV, but nothing is re-run, so
+    later states forged to agree with the error columns and the record pass.
 
     The within-host envelope verdicts of one call share a memo, so each
     distinct time grid and forcing costs one quadrature per call; a directory
@@ -735,7 +731,7 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
         if root is None or not (root / "manifest.txt").exists():
             continue
         manifest = root / "manifest.txt"
-        checked = {d.name for d in dirs}
+        checked, listed = {d.name for d in dirs}, set()
         for number, line in enumerate(manifest.read_text().splitlines(), 1):
             entry = line.split()
             if not entry:
@@ -745,10 +741,13 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
                                 " expected 'label status'")
                 continue
             label, status = entry
+            listed.add(label)
             if status != "ok":
                 problems.append(f"{root / label}: manifest status {status!r}")
             elif label not in checked:
                 problems.append(f"{root / label}: listed ok but has no artifacts")
+        problems.extend(f"{root / label}: not listed in {manifest.name}"
+                        for label in sorted(checked - listed))
     return problems
 
 

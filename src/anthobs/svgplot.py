@@ -22,9 +22,14 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 50, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
+def _range(values: list[float]) -> tuple[float, float]:
+    """``(min, max)`` of ``values``; one value ``lo`` spans to ``lo + 1``, or to
+    the next float above where ``lo + 1`` rounds back to ``lo``."""
+    lo, hi = min(values), max(values)
+    return lo, (hi if hi != lo else max(lo + 1.0, math.nextafter(lo, math.inf)))
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 2.5, 5, 10):
@@ -36,6 +41,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     x = first
     while x <= hi + 1e-12 * span:
         out.append(round(x, 12))
+        if x + step == x:  # a step below the float spacing of x
+            break
         x += step
     return out
 
@@ -53,12 +60,7 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
     ys_each = [np.asarray(ys, dtype=float) for _, ys in series]
     # the range of Python floats, as min() and max() order them
     xs, ys_all = x.tolist(), np.concatenate(ys_each).tolist()
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    (x_lo, x_hi), (y_lo, y_hi) = _range(xs), _range(ys_all)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -259,7 +260,7 @@ class TestVolumeSensitivity:
         s = runner.make_scenario(p, "pde", 1.0, 0.5, 1.0, 1e3, 0.0, t1=0.01, dim=1, n=4)
         sp1 = SpatialParameterSet(base=replace(p, k1=1e3))
         grid = Grid(1, 4)
-        sens = runner._volume_sensitivity([s], sp1, grid)[0]
+        sens = runner._volume_sensitivity([s], sp1, grid)[(1.0, 0.5, 1.0)]
         lower = 1.0 - runner.SENSITIVITY_DELTA
         v = [simulate(SpatialSystem(sp1, grid, theta0, 0.5, 1.0), 0.0, 0.01, p.dt,
                       record_stride=runner.RECORD_STRIDE, truth_only=True).truth[:, 1]
@@ -690,6 +691,27 @@ class TestSweepAndCheck:
         assert runner.check_artifacts(tmp_path) == [
             f"{tmp_path / gone}: listed ok but has no artifacts"]
 
+    def test_unlisted_directory_reported(self, p, tmp_path, fast_scenarios):
+        # a directory left by an earlier sweep into the same root
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:2])
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
+        assert runner.check_artifacts(tmp_path) == [
+            f"{tmp_path / fast_scenarios[1].label}: not listed in manifest.txt"]
+
+    def test_observer_start_forgery_reported(self, p, tmp_path):
+        # an estimate forged to equal the truth agrees with every error column
+        # and record value, but no run starts its observer at the truth
+        scenarios = [runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 1e3, 0.0, t1=0.02),
+                     runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, 1e3, 0.0, t1=0.02,
+                                          dim=1, n=4)]
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=scenarios)
+        assert runner.check_artifacts(tmp_path) == []
+        for s in scenarios:
+            _forge_exact_estimate(tmp_path / s.label)
+        assert runner.check_artifacts(tmp_path) == [
+            f"{tmp_path / s.label}: first row is not the observer's initial state"
+            for s in scenarios]
+
     def test_colliding_labels_rejected_before_any_run(self, p, tmp_path, fast_scenarios):
         first = fast_scenarios[0]
         twin = replace(first, t1=2 * first.t1)
@@ -737,6 +759,21 @@ class TestSweepAndCheck:
 ODE_TRIPLES = sorted({(s.theta0, s.v0, s.rho0)
                       for s in runner.scenario_matrix("paper-ode", ParameterSet())})
 SHORT_SPANS = ((0.0, 0.01), (0.0, 0.02), (0.4, 0.41))
+
+
+def _forge_exact_estimate(directory: Path) -> None:
+    """Rewrite a scenario directory as if its estimate had equalled the truth
+    at every record: ``theta_hat := theta``, zero error columns and final errors."""
+    csv, rec = directory / "series.csv", directory / "record.txt"
+    header, *rows = csv.read_text().splitlines()
+    names = header.split(",")
+
+    def forged(row: str) -> str:
+        col = dict(zip(names, row.split(",")))
+        return ",".join(col[name.replace("theta_hat", "theta")] if name.startswith("theta_hat")
+                        else "0" if "err" in name else col[name] for name in names)
+    csv.write_text("\n".join([header, *map(forged, rows)]) + "\n")
+    rec.write_text(re.sub(r"^(final_\w+_err) = .*$", r"\1 = 0", rec.read_text(), flags=re.M))
 
 
 @st.composite
@@ -997,6 +1034,34 @@ class TestSpatialGroups:
         assert message in records[2].error
         assert [f.name for f in (tmp_path / "sweep" / odd.label).iterdir()] == ["record.txt"]
 
+    def test_a_failing_sensitivity_fails_its_k1_members_alone(self, p, tmp_path, monkeypatch):
+        grid = dict(dim=1, n=4, t1=0.005)
+        scenarios = [runner.make_scenario(p, "pde", th, v0, th, k1, k2, **grid)
+                     for (th, v0), (k1, k2) in zip(SPATIAL_PAIRS[:2] * 2, runner.GAIN_PAIRS)]
+        for s in scenarios:
+            if s.k1 == 0.0:
+                runner.run_scenario(s, p, out_dir=tmp_path / "lone")
+
+        def refuse(*args):
+            raise RuntimeError("no sensitivity")
+        monkeypatch.setattr(runner, "_volume_sensitivity", refuse)
+        sizes, run_group = [], runner._run_group
+        monkeypatch.setattr(runner, "_run_group",
+                            lambda group, *args: sizes.append(len(group)) or run_group(group, *args))
+        records, steps = _spatial_sweep(p, scenarios, tmp_path / "sweep", monkeypatch)
+        # the group runs its members alone, and a lone k1 > 0 run steps nothing
+        # once its sensitivity has raised
+        assert sizes == [4, 1, 1, 1, 1]
+        assert steps == [(False, 1), (False, 1)]
+        for r, s in zip(records, scenarios):
+            directory = tmp_path / "sweep" / s.label
+            if s.k1 > 0.0:
+                assert (r.status, r.error) == ("failed", "RuntimeError: no sensitivity")
+                assert [f.name for f in directory.iterdir()] == ["record.txt"]
+            else:
+                assert r.status == "ok"
+                assert _artifacts(directory) == _artifacts(tmp_path / "lone" / s.label)
+
     def test_memory_does_not_grow_with_the_span(self, p):
         # 41 and 401 records: a run keeps one block of records, not all of them
         peaks = []
@@ -1070,15 +1135,11 @@ class TestAtomicWrites:
 def _reference_line_plot(path, x, series, title, xlabel, ylabel) -> None:
     """``svgplot.line_plot`` as it formatted each point with its own f-string."""
     from anthobs.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
-                                 WIDTH, _fmt, _ticks)
+                                 WIDTH, _fmt, _range, _ticks)
     x = [float(v) for v in x]
     ys_all = [float(v) for _, ys in series for v in ys]
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    x_lo, x_hi = _range(x)
+    y_lo, y_hi = _range(ys_all)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     pw, ph = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
@@ -1156,6 +1217,30 @@ class TestPlots:
             svgplot.line_plot(new, x, series, "title", "t", "y")
             _reference_line_plot(old, x, series, "title", "t", "y")
             assert new.read_text() == old.read_text()
+
+    @pytest.mark.parametrize("x, ys", [
+        *(([0.0, 1.0], [y, y]) for y in (5e15, 9e15, 1e16, 2e16, 4e16)),
+        ([0.0, 1.0], [1e16, 1e16 + 4]),
+        ([1e6, math.nextafter(1e6, 2e6)], [0.0, 1.0]),
+    ])
+    def test_span_below_float_spacing(self, tmp_path, x, ys):
+        # a range whose widening by 1 is lost, or whose tick step is below the
+        # float spacing of its values: the plot must still end, in finite numbers
+        def stop(*_):
+            raise TimeoutError("line_plot did not return within a second")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            svgplot.line_plot(tmp_path / "plot.svg", x, [("y", ys)], "title", "t", "y")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        root = ET.parse(tmp_path / "plot.svg").getroot()
+        coords = [v for el in root.iter() for key, v in el.attrib.items()
+                  if key in ("x", "y", "x1", "y1", "x2", "y2", "points")]
+        numbers = [float(n) for c in coords for n in re.split("[ ,]", c)]
+        assert len(numbers) > 4 and np.all(np.isfinite(numbers))
 
     @pytest.fixture()
     def run_dirs(self, p, tmp_path, fast_scenarios):
