@@ -144,13 +144,12 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
     return ode.condition_report(condition_batches(traj, p, sensitivity), p, notes, coef)
 
 
-def condition_batches(traj, p: ParameterSet, sensitivity: np.ndarray | None = None,
-                      start: int = 0):
+def condition_batches(traj, p: ParameterSet, sensitivity: np.ndarray | None = None):
     """The batches of :class:`ode.ConditionFold` for the records of ``traj``,
     :func:`block_records` of them at a time.  ``traj`` holds the records of
-    one run from record ``start`` on, and ``sensitivity`` covers every record
-    of that run.  Each forcing is called once per batch, on the batch's times
-    shaped to broadcast against its fields."""
+    one run from its record ``traj.first`` on, and ``sensitivity`` covers every
+    record of that run.  Each forcing is called once per batch, on the batch's
+    times shaped to broadcast against its fields."""
     block = block_records(traj.truth[0, 0].size)
     for lo in range(0, len(traj.times), block):
         rec = slice(lo, lo + block)
@@ -161,6 +160,6 @@ def condition_batches(traj, p: ParameterSet, sensitivity: np.ndarray | None = No
         ratio, excluded = None, False
         if p.k1 > 0.0 and sensitivity is not None:
             excluded = v < ode.SINGULAR_TOL
-            sens = sensitivity[start + lo:start + lo + len(theta)]
+            sens = sensitivity[traj.first + lo:traj.first + lo + len(theta)]
             ratio = (v + (1.0 + p.epsilon - theta) * sens) / np.where(excluded, 1.0, v)
         yield t, theta, o, m, ratio, excluded

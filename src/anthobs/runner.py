@@ -213,16 +213,13 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header.split(","), np.loadtxt(rows, delimiter=",", ndmin=2)
 
 
-def _ode_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
-    return np.column_stack([
-        traj.times,
-        traj.truth[:, 0], traj.truth[:, 1], traj.truth[:, 2],
-        traj.observer[:, 0], traj.observer[:, 1],
-        err.abs_err, err.rel_err,
-    ])
+def _ode_rows(traj) -> np.ndarray:
+    err = metrics.error_series_ode(traj)
+    return np.column_stack([traj.times, traj.truth, traj.observer, err.abs_err, err.rel_err])
 
 
-def _pde_rows(traj, err: metrics.ErrorSeries) -> np.ndarray:
+def _pde_rows(traj) -> np.ndarray:
+    err = metrics.error_series_pde(traj)
     axes = tuple(range(1, traj.truth[:, 0].ndim))
     return np.column_stack([traj.times, *pde.aggregate(traj.truth[:, 0], axes),
                             *pde.aggregate(traj.observer[:, 0], axes),
@@ -292,7 +289,8 @@ def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) ->
     distinct initial state: one field per state ``(theta0, v0, rho0)``.
 
     The truths from theta(0) +- ``SENSITIVITY_DELTA`` of every distinct state
-    step as one truth-only batch, which keeps only each state's quotient.
+    step as one truth-only batch, whose blocks of records fill each state's
+    quotient from their ``first`` record on.
     The perturbed initial rates are clamped into ``[0, 1]``, so at the box
     edge the quotient is one-sided; it always divides by the actual spread.
     """
@@ -307,13 +305,10 @@ def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) ->
                            gains=(zeros, zeros))
     n_rec = step_count(first.t0, first.t1, sp.base.dt) // RECORD_STRIDE + 1
     fields = np.empty((len(states), n_rec, *grid.shape))
-    filled = 0
 
     def keep(block):
-        nonlocal filled
         v = np.moveaxis(block.truth[:, 1], 1, 0)
-        fields[:, filled:filled + len(block)] = (v[0::2] - v[1::2]) / spread
-        filled += len(block)
+        fields[:, block.first:block.first + len(block)] = (v[0::2] - v[1::2]) / spread
 
     simulate(system, first.t0, first.t1, sp.base.dt, first.scheme, RECORD_STRIDE,
              truth_only=True, on_block=keep)
@@ -323,27 +318,26 @@ def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) ->
 class _Folded:
     """The CSV rows and condition diagnostics of scenario ``s``, a member of a
     run of ``system``, folded from the blocks of its records in time order
-    (:meth:`add`) by its model's functions, looked up per group since
-    benchmarks/tracing.py patches them; the first error either raises is kept."""
+    (:meth:`add`) by its model's ``rows`` and ``batches``, looked up per group
+    since benchmarks/tracing.py patches them; ``batches`` reads ``sensitivity``
+    from each block's ``first`` record on.  The first error either raises is kept."""
 
-    def __init__(self, s: Scenario, system, columns, rows, errors, batches, sensitivity):
+    def __init__(self, s: Scenario, system, columns, rows, batches, sensitivity):
         self.p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
-        self.columns, self.to_rows, self.errors, self.batches = columns, rows, errors, batches
+        self.columns, self.to_rows, self.batches = columns, rows, batches
         self.sensitivity = sensitivity
         self.fold = ode.ConditionFold(self.p_run, [], system.coef)
         self.rows: list[np.ndarray] = []
-        self.filled = 0
         self.error: Exception | None = None
 
     def add(self, block) -> None:
         if self.error is None:
             try:
-                self.rows.append(self.to_rows(block, self.errors(block)))
-                for batch in self.batches(block, self.p_run, self.sensitivity, self.filled):
+                self.rows.append(self.to_rows(block))
+                for batch in self.batches(block, self.p_run, self.sensitivity):
                     self.fold.add(*batch)
             except Exception as exc:  # fails this member alone
                 self.error = exc
-        self.filled += len(block)
 
     def result(self) -> tuple[np.ndarray, ode.ConditionReport]:
         """The rows and the condition report of every block, or the error."""
@@ -411,11 +405,11 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
             sensing = [s for s in group if s.k1 > 0.0]
             if sensing:
                 fields = _volume_sensitivity(sensing, system.sp, system.grid)
-            model = (PDE_COLUMNS, _pde_rows, metrics.error_series_pde, pde.condition_batches)
+            model = (PDE_COLUMNS, _pde_rows, pde.condition_batches)
         else:
             system = WithinHostSystem(p, *initial, first.measurement, gains=gains)
-            model = (ODE_COLUMNS, _ode_rows, metrics.error_series_ode,
-                     lambda block, p_run, _sensitivity, _start: ode.condition_batches(block, p_run))
+            model = (ODE_COLUMNS, _ode_rows,
+                     lambda block, p_run, _sensitivity: ode.condition_batches(block, p_run))
         folded = [_Folded(s, system, *model, fields.get((s.theta0, s.v0, s.rho0)))
                   for s in group]
 

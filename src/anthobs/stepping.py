@@ -7,10 +7,10 @@ right-hand side advances both, the observer holding that measurement over
 the step.  The observer therefore only ever sees truth data from the
 current or earlier steps.  A truth-only run's state is the truth alone.
 
-After every step, the state is clamped to its invariant box and the
-pre-clamp overshoot is recorded; any overshoot beyond ``OVERSHOOT_LIMIT``
-aborts the run, since the continuous dynamics cannot leave the box and a
-larger excursion signals an unstable step size.
+After every step, one clamp kernel clamps the state to its invariant box
+and folds the pre-clamp overshoot into the run's maxima; any overshoot
+beyond ``OVERSHOOT_LIMIT`` aborts the run, since the continuous dynamics
+cannot leave the box and a larger excursion signals an unstable step size.
 
 One loop serves both models through the one system of :mod:`anthobs.systems`
 (the spatial system is the within-host system on grid profiles, plus
@@ -27,7 +27,8 @@ A run may instead hand its records over in blocks, to a block consumer
 ``on_block``: the buffer then holds one block, of the system's
 ``block_records()`` records, and each time it is full (and at the last
 record) the consumer gets it as a :class:`Trajectory` of those records, in
-time order, before the buffer is reused.  Its memory then does not grow with
+time order, before the buffer is reused; the block's ``first`` is the index
+of its first record in the run.  Its memory then does not grow with
 the span.  Every run of the runner, of either model, folds each block into
 its CSV rows and its condition diagnostics.
 
@@ -131,6 +132,8 @@ class Trajectory:
     pre-clamp excursion outside the box seen anywhere in the run.  A batch
     run adds a member axis after the component axis, and its ``overshoot``
     holds one value per member; :meth:`member` takes one member's run.
+    ``first`` is the run's index of the first record held: 0 for a whole
+    run, and the start of a block for the blocks of a block consumer.
     """
 
     times: np.ndarray
@@ -139,6 +142,7 @@ class Trajectory:
     measurements: np.ndarray | None
     overshoot: dict[str, float]
     meta: dict = field(default_factory=dict)
+    first: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -150,7 +154,7 @@ class Trajectory:
             times=self.times, truth=pick(self.truth), observer=pick(self.observer),
             measurements=pick(self.measurements),
             overshoot={name: float(v[j]) for name, v in self.overshoot.items()},
-            meta=self.meta)
+            meta=self.meta, first=self.first)
 
 
 def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float) -> None:
@@ -196,16 +200,16 @@ def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
 
 
 def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
-             record_stride: int = 10, clamp: bool = True,
-             truth_only: bool = False, on_block=None) -> Trajectory:
+             record_stride: int = 10, truth_only: bool = False,
+             on_block=None) -> Trajectory:
     """Advance truth and observer from ``t0`` to ``t1`` with fixed step ``dt``.
 
     Records every ``record_stride``-th step (plus the initial sample) and
-    returns a :class:`Trajectory`.  ``clamp=False`` disables box clamping but
-    still tracks (and enforces the limit on) pre-clamp overshoot.  With a
-    block consumer ``on_block``, each block of records is passed to it as a
-    :class:`Trajectory` (valid until the call returns), and the returned
-    trajectory holds the records of the last block only.
+    returns a :class:`Trajectory`.  Every step ends clamped to the box.  With
+    a block consumer ``on_block``, each block of records is passed to it as a
+    :class:`Trajectory` (valid until the call returns) whose ``first`` is the
+    index of its first record, and the returned trajectory holds the records
+    of the last block only.
 
     Raises ``ValueError`` on a run :func:`check_run` rejects or on an unstable
     diffusion step (CFL check), :class:`NonFiniteError` on a non-finite
@@ -215,11 +219,9 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     n_steps = _validate_run(system, t0, t1, dt, scheme, record_stride)
     names = system.component_names
     if np.ndim(system.truth0) == 1:  # a handful of scalar components
-        step, clamp_state, track = _FLOAT_STEPPERS[scheme], _clamp_floats, _track_floats
-        as_state = _floats
+        step, clamp_state, as_state = _FLOAT_STEPPERS[scheme], _clamp_floats, _floats
     else:  # component axis first, then a member axis or the grid axes
-        step, clamp_state, track = _STEPPERS[scheme], _clamp_array, _track_array
-        as_state = np.asarray
+        step, clamp_state, as_state = _STEPPERS[scheme], _clamp_array, np.asarray
     # the coupled state, initial and box bounds: the truth's, then the observer's
     state, lo, hi = (as_state(np.concatenate(parts[:1] if truth_only else parts))
                      for parts in zip((system.truth0, *system.truth_bounds),
@@ -240,9 +242,10 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     rec = np.empty((size, *np.shape(state)))
     # no observer reads the measurement of a truth-only run: none is taken
     meas_rec = None if truth_only else np.empty((size, 3, *np.shape(state)[1:]))
-    records = lambda n, overshoot, **meta: Trajectory(
-        times[:n], rec[:n, :3], None if truth_only else rec[:n, 3:],
-        None if truth_only else meas_rec[:n], overshoot, meta)
+    # the records up to the latest, which is record i of the buffer and r of the run
+    records = lambda overshoot, **meta: Trajectory(
+        times[:i + 1], rec[:i + 1, :3], None if truth_only else rec[:i + 1, 3:],
+        None if truth_only else meas_rec[:i + 1], overshoot, meta, r - i)
     prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
@@ -256,7 +259,7 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
             if not truth_only:
                 meas_rec[i] = m
             if on_block is not None and (i == size - 1 or r == n_rec - 1):
-                on_block(records(i + 1, {}))
+                on_block(records({}))
         if k == n_steps:
             break
 
@@ -267,8 +270,8 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
             raise NonFiniteError(f"{exc} ({part})") from None
         prev = (t, state[:3])
 
-        state, over = clamp_state(new_state, lo, hi, clamp)
-        if track(max_over, over) > OVERSHOOT_LIMIT:
+        state, worst = clamp_state(new_state, lo, hi, max_over)
+        if worst > OVERSHOOT_LIMIT:
             peaks = [float(np.max(v)) for v in max_over]
             idx = peaks.index(max(peaks))
             raise OvershootError(
@@ -276,30 +279,22 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
                 f"{peaks[idx]:.3e} (> {OVERSHOOT_LIMIT}) at t={t + dt}")
 
     return records(
-        (n_rec - 1) % size + 1,
         {name: v if np.ndim(v) else float(v) for name, v in zip(names, max_over)},
-        scheme=scheme, dt=dt, t0=t0, t1=t0 + n_steps * dt, record_stride=record_stride,
-        clamp=clamp)
+        scheme=scheme, dt=dt, t0=t0, t1=t0 + n_steps * dt, record_stride=record_stride)
 
 
-def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, apply: bool):
-    """Clamp a stacked state componentwise; return (state, overshoot per
-    component and member), reduced over the axes the bounds do not span."""
+def _clamp_array(state: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_over: np.ndarray):
+    """Clamp a stacked state componentwise and fold its overshoot per component
+    and member, reduced over the axes the bounds do not span, into the run's
+    maxima ``max_over``; return (state, the step's worst overshoot)."""
     axes = tuple(range(lo.ndim, state.ndim))
-    over = np.maximum(
-        0.0,
-        np.maximum(lo - state.min(axis=axes), state.max(axis=axes) - hi),
-    )
-    if apply and over.max() > 0.0:
+    over = np.maximum(0.0, np.maximum(lo - state.min(axis=axes), state.max(axis=axes) - hi))
+    worst = over.max()
+    if worst > 0.0:  # else no maximum grows
+        np.maximum(max_over, over, out=max_over)
         shape = lo.shape + (1,) * (state.ndim - lo.ndim)
         state = np.clip(state, lo.reshape(shape), hi.reshape(shape))
-    return state, over
-
-
-def _track_array(max_over: np.ndarray, over: np.ndarray) -> float:
-    """Fold one step's overshoot into the run's maxima; return its worst."""
-    np.maximum(max_over, over, out=max_over)
-    return over.max()
+    return state, worst
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +329,10 @@ def _rk4_floats(rhs, t, state, dt):
 _FLOAT_STEPPERS = {"euler": _euler_floats, "rk4": _rk4_floats}
 
 
-def _clamp_floats(state, lo, hi, apply):
-    over = tuple(max(0.0, l - x, x - h) for x, l, h in zip(state, lo, hi))
-    if apply and max(over) > 0.0:
+def _clamp_floats(state, lo, hi, max_over: list):
+    over = [max(0.0, l - x, x - h) for x, l, h in zip(state, lo, hi)]
+    worst = max(over)
+    if worst > 0.0:
+        max_over[:] = map(max, max_over, over)
         state = tuple(min(max(x, l), h) for x, l, h in zip(state, lo, hi))
-    return state, over
-
-
-def _track_floats(max_over: list, over) -> float:
-    worst = 0.0
-    for i, ov in enumerate(over):
-        if ov > max_over[i]:
-            max_over[i] = ov
-        if ov > worst:
-            worst = ov
-    return worst
+    return state, worst

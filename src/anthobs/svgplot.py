@@ -8,6 +8,7 @@ count series and re-renders never differ across runs on one platform.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,33 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 def _range(values: list[float]) -> tuple[float, float]:
     """``(min, max)`` of ``values``; one value ``lo`` spans to ``lo + 1``, or to
-    the next float above where ``lo + 1`` rounds back to ``lo``."""
+    the next float above where ``lo + 1`` rounds back to ``lo``, or from the
+    next float below where no float lies above."""
     lo, hi = min(values), max(values)
-    return lo, (hi if hi != lo else max(lo + 1.0, math.nextafter(lo, math.inf)))
+    if hi != lo:
+        return lo, hi
+    hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    return (lo, hi) if hi < math.inf else (math.nextafter(lo, -math.inf), lo)
+
+
+def _axis(values: list[float], pad: float) -> tuple[float, float, float]:
+    """The :func:`_range` of ``values`` widened by ``pad`` of its span at each
+    end, held in units of a ``scale``: 1, or a power of 2 below it where the
+    span would overflow (such scaling is exact for normal floats).  Returns
+    ``(lo, hi, scale)``, the ends in scaled units."""
+    lo, hi = _range(values)
+    for scale in (1.0, 0.5, 0.25):
+        margin = pad * (hi * scale - lo * scale)
+        a, b = lo * scale - margin, hi * scale + margin
+        if math.isfinite(b - a):
+            break
+    return a, b, scale
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     span = hi - lo
+    if span / n < sys.float_info.min:  # no decade to step by: the ends alone
+        return [lo, hi]
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 2.5, 5, 10):
         if span / (step * mult) <= n:
@@ -60,14 +81,13 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
     ys_each = [np.asarray(ys, dtype=float) for _, ys in series]
     # the range of Python floats, as min() and max() order them
     xs, ys_all = x.tolist(), np.concatenate(ys_each).tolist()
-    (x_lo, x_hi), (y_lo, y_hi) = _range(xs), _range(ys_all)
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    (x_lo, x_hi, x_scale), (y_lo, y_hi, y_scale) = _axis(xs, 0.0), _axis(ys_all, 0.05)
 
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 
-    # on a float or elementwise on an array, in the same IEEE operations
+    # on a float or elementwise on an array, in the same IEEE operations, of
+    # values in the scaled units of the axis
     def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * pw
 
@@ -91,24 +111,24 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
         out.append(f'<line x1="{px:.2f}" y1="{MARGIN_T + ph}" x2="{px:.2f}" '
                    f'y2="{MARGIN_T + ph + 5}" {axis_style}/>')
         out.append(f'<text x="{px:.2f}" y="{MARGIN_T + ph + 20}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>')
+                   f'font-family="sans-serif" font-size="11">{_fmt(tx / x_scale)}</text>')
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" '
                    f'y2="{py:.2f}" {axis_style}/>')
         out.append(f'<text x="{MARGIN_L - 9}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
+                   f'font-family="sans-serif" font-size="11">{_fmt(ty / y_scale)}</text>')
     out.append(f'<text x="{MARGIN_L + pw / 2:.1f}" y="{HEIGHT - 12}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>')
     out.append(f'<text x="20" y="{MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 20 {MARGIN_T + ph / 2:.1f})">{ylabel}</text>')
 
-    px_all = sx(x)
+    px_all = sx(x * x_scale)
     for i, ((label, _), ys) in enumerate(zip(series, ys_each)):
         color = PALETTE[i % len(PALETTE)]
         n = min(len(x), len(ys))  # as zip pairs them
-        xy = np.column_stack([px_all[:n], sy(ys[:n])])
+        xy = np.column_stack([px_all[:n], sy(ys[:n] * y_scale)])
         # one % format per series: the text of f"{v:.2f}" for every coordinate
         pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
         out.append(f'<polyline class="series" fill="none" stroke="{color}" '

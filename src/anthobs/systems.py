@@ -149,6 +149,6 @@ class SpatialSystem(WithinHostSystem):
         super().__init__(sp.base, theta0, v0, rho0, measurement_mode, gains)
         self.coef = pde.spatial_coefficients(grid, sp)
 
-    def measure(self, t: float, y: np.ndarray, prev) -> np.ndarray:
+    def measure(self, t: float, y: np.ndarray, prev) -> ode.Measurement:
         # not through measure_scalar, which benchmarks/tracing.py counts too
-        return np.stack(_measure(self, t, y, prev))
+        return _measure(self, t, y, prev)

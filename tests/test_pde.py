@@ -289,7 +289,8 @@ class TestFoldedEquivalence:
         y, y_prev = np.stack(truth), np.stack([truth[0], truth[1], rho_prev])
         prev = (t - 1e-3, y_prev)
         for mode in MEASUREMENT_MODES:
-            fields = SpatialSystem(sp, Grid(1, _N), 0.5, 0.5, 0.5, mode).measure(t, y, prev)
+            fields = np.stack(SpatialSystem(sp, Grid(1, _N), 0.5, 0.5, 0.5, mode).measure(
+                t, y, prev))
             within = WithinHostSystem(p, 0.5, 0.5, 0.5, mode)
             for i in range(_N):
                 cell = within.measure(t, tuple(y[:, i].tolist()),

@@ -868,11 +868,11 @@ class TestBatchedSweep:
                      for triple, gains in runs]
         n_rec = runner.step_count(t0, t1, p.dt) // runner.RECORD_STRIDE + 1
         block = data.draw(st.integers(1, n_rec))
-        blocks = []
+        blocks, firsts = [], []
 
         def spy(system, *args, on_block, **kwargs):
-            return simulate(system, *args, **kwargs,
-                            on_block=lambda b: blocks.append(len(b)) or on_block(b))
+            return simulate(system, *args, **kwargs, on_block=lambda b: blocks.append(len(b))
+                            or firsts.append(b.first) or on_block(b))
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             root = Path(tmp)
@@ -881,6 +881,7 @@ class TestBatchedSweep:
             mp.setattr(runner, "simulate", spy)
             records = runner.sweep("custom", p, out_dir=root / "blocks", scenarios=scenarios)
             assert blocks == [block] * (n_rec // block) + [n_rec % block] * bool(n_rec % block)
+            assert firsts == [sum(blocks[:i]) for i in range(len(blocks))]
             assert [r.status for r in records] == ["ok"] * len(scenarios)
             for s in scenarios:
                 assert _artifacts(root / "blocks" / s.label) == _artifacts(
@@ -1014,10 +1015,10 @@ class TestSpatialGroups:
             message = "ValueError: no rows at full inhibition"
             pde_rows = runner._pde_rows
 
-            def refuse(traj, err):
+            def refuse(traj):
                 if traj.truth[0, 0].min() >= 1.0:
                     raise ValueError("no rows at full inhibition")
-                return pde_rows(traj, err)
+                return pde_rows(traj)
             monkeypatch.setattr(runner, "_pde_rows", refuse)
         scenarios.insert(2, odd)
         records, steps = _spatial_sweep(p, scenarios, tmp_path / "sweep", monkeypatch)
@@ -1222,10 +1223,15 @@ class TestPlots:
         *(([0.0, 1.0], [y, y]) for y in (5e15, 9e15, 1e16, 2e16, 4e16)),
         ([0.0, 1.0], [1e16, 1e16 + 4]),
         ([1e6, math.nextafter(1e6, 2e6)], [0.0, 1.0]),
+        # spans that underflow to a zero tick step, or overflow with their pad
+        ([0.0, 5e-324], [0.0, 1.0]),
+        ([0.0, 1.0], [-1e308, 1e308]),
+        ([0.0, 1.0], [sys.float_info.max] * 2),
     ])
     def test_span_below_float_spacing(self, tmp_path, x, ys):
-        # a range whose widening by 1 is lost, or whose tick step is below the
-        # float spacing of its values: the plot must still end, in finite numbers
+        # a range whose widening by 1 is lost, whose tick step is below the float
+        # spacing of its values, or whose span leaves the floats: the plot must
+        # still end, in finite numbers
         def stop(*_):
             raise TimeoutError("line_plot did not return within a second")
 

@@ -133,6 +133,7 @@ class TestSimulate:
             float_step = stepping._FLOAT_STEPPERS[scheme]
             array_step = stepping._STEPPERS[scheme]
             y, z = (0.75, 0.5, 0.25), (0.0, 0.5)
+            float_max, array_max = [0.0] * 5, np.zeros(5)
             for k in range(1000):
                 t = k * dt
                 m = system.measure(t, y, None)
@@ -141,23 +142,17 @@ class TestSimulate:
                 z_new = float_step(obs_rhs, t, z, dt)
                 assert y_new == tuple(array_step(as_array(system.truth_rhs), t, np.array(y), dt))
                 assert z_new == tuple(array_step(as_array(obs_rhs), t, np.array(z), dt))
-                # a state pushed off its box on both sides clamps alike
+                # a state pushed off its box on both sides clamps alike, and
+                # both kernels fold the same overshoot into the run's maxima
                 off = (*y_new, *z_new)
-                off = tuple(x + d for x, d in zip(off, (-1e-7, 2e-7, 0.0, 3e-7, -4e-7)))
-                for apply in (True, False):
-                    fs, fo = stepping._clamp_floats(off, lo, hi, apply)
-                    as_, ao = stepping._clamp_array(np.array(off)[:, None], np.array(lo),
-                                                    np.array(hi), apply)
-                    assert fs == tuple(as_[:, 0]) and fo == tuple(ao)
+                off = tuple(x + d * (k % 7) for x, d in zip(off, (0.1, -0.1, -0.05, -1e-3, 0.1)))
+                fs, fw = stepping._clamp_floats(off, lo, hi, float_max)
+                as_, aw = stepping._clamp_array(np.array(off)[:, None], np.array(lo),
+                                                np.array(hi), array_max)
+                assert fs == tuple(as_[:, 0]) and fw == aw
+                assert float_max == array_max.tolist()
                 y, z = y_new, z_new
-
-    def test_clamp_off_close_to_clamp_on(self, p):
-        sys_on = WithinHostSystem(p, 0.75, 0.5, 0.25)
-        sys_off = WithinHostSystem(p, 0.75, 0.5, 0.25)
-        tr_on = simulate(sys_on, 0.0, 1.0, 1e-4, clamp=True)
-        tr_off = simulate(sys_off, 0.0, 1.0, 1e-4, clamp=False)
-        assert np.abs(tr_on.truth - tr_off.truth).max() <= 1e-6
-        assert np.abs(tr_on.observer - tr_off.observer).max() <= 1e-6
+            assert min(float_max) > 0.0
 
     def test_measurement_causality_fd(self, p):
         # backward differencing: the recorded measurement at step n only uses
