@@ -146,10 +146,10 @@ def check_conditions_spatial(traj, sp: SpatialParameterSet, coef: SpatialCoeffic
 
 def condition_batches(traj, p: ParameterSet, sensitivity: np.ndarray | None = None):
     """The batches of :class:`ode.ConditionFold` for the records of ``traj``,
-    :func:`block_records` of them at a time.  ``traj`` holds the records of
-    one run from its record ``traj.first`` on, and ``sensitivity`` covers every
-    record of that run.  Each forcing is called once per batch, on the batch's
-    times shaped to broadcast against its fields."""
+    :func:`block_records` of them at a time.  ``traj`` holds a block of
+    records of one run, or all of them, and ``sensitivity`` is aligned with
+    it: one field per record of ``traj``.  Each forcing is called once per
+    batch, on the batch's times shaped to broadcast against its fields."""
     block = block_records(traj.truth[0, 0].size)
     for lo in range(0, len(traj.times), block):
         rec = slice(lo, lo + block)
@@ -160,6 +160,5 @@ def condition_batches(traj, p: ParameterSet, sensitivity: np.ndarray | None = No
         ratio, excluded = None, False
         if p.k1 > 0.0 and sensitivity is not None:
             excluded = v < ode.SINGULAR_TOL
-            sens = sensitivity[traj.first + lo:traj.first + lo + len(theta)]
-            ratio = (v + (1.0 + p.epsilon - theta) * sens) / np.where(excluded, 1.0, v)
+            ratio = (v + (1.0 + p.epsilon - theta) * sensitivity[rec]) / np.where(excluded, 1.0, v)
         yield t, theta, o, m, ratio, excluded

@@ -10,8 +10,8 @@ lone run writes.
 No run keeps its whole records: a group hands them over in blocks while it
 steps, and each member folds every block into its CSV rows and its condition
 diagnostics, the same way for both models.  The volume sensitivity of the
-``k1 > 0`` members of a spatial group comes from one truth-only run, which
-keeps only the sensitivity field of each distinct initial state.
+``k1 > 0`` members of a spatial group comes from one truth-only run stepped
+block by block beside the group, so no field of it outlives its block.
 
 Each scenario writes one directory containing a configuration snapshot
 (``config.txt``), the recorded time series (``series.csv``, 9 significant
@@ -46,7 +46,7 @@ from . import config as configmod
 from . import metrics, ode, pde, svgplot
 from .fileio import write_atomic
 from .params import ParameterSet, SpatialParameterSet
-from .stepping import check_run, simulate, step_count
+from .stepping import check_run, record_blocks, simulate, step_count
 from .systems import COMPONENTS, SpatialSystem, WithinHostSystem, check_inputs, state_box
 
 __all__ = [
@@ -283,14 +283,16 @@ def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
 
 
-def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) -> dict:
-    """d v / d theta(0) per recorded time for the scenarios of ``group`` (which
-    share span, scheme and sensor), from two perturbed truth runs of each
-    distinct initial state: one field per state ``(theta0, v0, rho0)``.
+def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid):
+    """d v / d theta(0) for the scenarios of ``group`` (which share span,
+    scheme and sensor), from two perturbed truth runs of each distinct initial
+    state: an iterator that gives, for each block of records that a run of the
+    group cuts, one field per state ``(theta0, v0, rho0)`` over those records.
 
     The truths from theta(0) +- ``SENSITIVITY_DELTA`` of every distinct state
-    step as one truth-only batch, whose blocks of records fill each state's
-    quotient from their ``first`` record on.
+    step as one truth-only batch, a block per item.  Its system is built
+    before this returns, so bad input raises before any step; a stepping
+    error raises from the item being taken.
     The perturbed initial rates are clamped into ``[0, 1]``, so at the box
     edge the quotient is one-sided; it always divides by the actual spread.
     """
@@ -303,38 +305,35 @@ def _volume_sensitivity(group: list[Scenario], sp: SpatialParameterSet, grid) ->
     zeros = np.zeros(thetas.size)  # a truth-only run reads no gain
     system = SpatialSystem(sp, grid, thetas.ravel(), twice(1), twice(2), first.measurement,
                            gains=(zeros, zeros))
-    n_rec = step_count(first.t0, first.t1, sp.base.dt) // RECORD_STRIDE + 1
-    fields = np.empty((len(states), n_rec, *grid.shape))
 
-    def keep(block):
+    def quotients(block):
         v = np.moveaxis(block.truth[:, 1], 1, 0)
-        fields[:, block.first:block.first + len(block)] = (v[0::2] - v[1::2]) / spread
+        return dict(zip(states, (v[0::2] - v[1::2]) / spread))
 
-    simulate(system, first.t0, first.t1, sp.base.dt, first.scheme, RECORD_STRIDE,
-             truth_only=True, on_block=keep)
-    return dict(zip(states, fields))
+    return map(quotients, record_blocks(system, first.t0, first.t1, sp.base.dt, first.scheme,
+                                        RECORD_STRIDE, truth_only=True))
 
 
 class _Folded:
     """The CSV rows and condition diagnostics of scenario ``s``, a member of a
     run of ``system``, folded from the blocks of its records in time order
     (:meth:`add`) by its model's ``rows`` and ``batches``, looked up per group
-    since benchmarks/tracing.py patches them; ``batches`` reads ``sensitivity``
-    from each block's ``first`` record on.  The first error either raises is kept."""
+    since benchmarks/tracing.py patches them; ``batches`` reads the volume
+    sensitivity over the block's records, or ``None``.  The first error
+    either raises is kept."""
 
-    def __init__(self, s: Scenario, system, columns, rows, batches, sensitivity):
+    def __init__(self, s: Scenario, system, columns, rows, batches):
         self.p_run = dataclasses.replace(system.p, k1=s.k1, k2=s.k2)
         self.columns, self.to_rows, self.batches = columns, rows, batches
-        self.sensitivity = sensitivity
         self.fold = ode.ConditionFold(self.p_run, [], system.coef)
         self.rows: list[np.ndarray] = []
         self.error: Exception | None = None
 
-    def add(self, block) -> None:
+    def add(self, block, sensitivity) -> None:
         if self.error is None:
             try:
                 self.rows.append(self.to_rows(block))
-                for batch in self.batches(block, self.p_run, self.sensitivity):
+                for batch in self.batches(block, self.p_run, sensitivity):
                     self.fold.add(*batch)
             except Exception as exc:  # fails this member alone
                 self.error = exc
@@ -378,15 +377,16 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
     conclude each: one record per scenario, in group order.
 
     A group of one steps its float within-host system or its spatial system;
-    a group of several one system with a member per scenario.  A spatial
-    group first computes the volume sensitivity of its ``k1 > 0`` members,
-    one truth-only run for all (:func:`_volume_sensitivity`), and each
-    member takes the field of its initial state.  Every group hands each
-    block of its records to every member's :class:`_Folded`; an error in one
-    member's diagnostics fails that member alone.  When building the system,
-    the sensitivity or the stepping raises, a group of one fails with that
-    error and a group of several runs each member as a group of one, so a
-    failing scenario fails by itself with the error of its lone run.
+    a group of several one system with a member per scenario.  The volume
+    sensitivity of a spatial group's ``k1 > 0`` members is one truth-only
+    run for all (:func:`_volume_sensitivity`), stepped one block per block
+    of the group, and each member takes the field of its initial state.
+    Every group hands each block of its records to every member's
+    :class:`_Folded`; an error in one member's diagnostics fails that member
+    alone.  When building a system, the stepping or the sensitivity raises,
+    even after some blocks were folded, a group of one fails with that error
+    and a group of several runs each member as a group of one, so a failing
+    scenario fails by itself with the error of its lone run.
     """
     t_start = time.perf_counter()
     first = group[0]
@@ -396,7 +396,7 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
               (lambda key: np.array([getattr(s, key) for s in group])))
     initial, gains = [column(key) for key in ("theta0", "v0", "rho0")], (column("k1"), column("k2"))
     member = (lambda traj, j: traj.member(j)) if len(group) > 1 else (lambda traj, j: traj)
-    fields = {}
+    sensitivity = itertools.repeat({})  # no field for any member, block after block
     try:
         if first.model == "pde":
             system = SpatialSystem(dataclasses.replace(sp or SpatialParameterSet(), base=p),
@@ -404,18 +404,18 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
                                    gains)
             sensing = [s for s in group if s.k1 > 0.0]
             if sensing:
-                fields = _volume_sensitivity(sensing, system.sp, system.grid)
+                sensitivity = _volume_sensitivity(sensing, system.sp, system.grid)
             model = (PDE_COLUMNS, _pde_rows, pde.condition_batches)
         else:
             system = WithinHostSystem(p, *initial, first.measurement, gains=gains)
             model = (ODE_COLUMNS, _ode_rows,
                      lambda block, p_run, _sensitivity: ode.condition_batches(block, p_run))
-        folded = [_Folded(s, system, *model, fields.get((s.theta0, s.v0, s.rho0)))
-                  for s in group]
+        folded = [_Folded(s, system, *model) for s in group]
 
         def on_block(block):
-            for j, fold in enumerate(folded):
-                fold.add(member(block, j))
+            fields = next(sensitivity)  # over the same records as the block
+            for j, (fold, s) in enumerate(zip(folded, group)):
+                fold.add(member(block, j), fields.get((s.theta0, s.v0, s.rho0)))
 
         traj = simulate(system, first.t0, first.t1, p.dt, first.scheme, RECORD_STRIDE,
                         on_block=on_block)
@@ -520,8 +520,8 @@ def _read_record(path: Path) -> dict[str, str]:
 def _groups(scenarios: list[Scenario]) -> list[list[Scenario]]:
     """The scenarios stepped as one system, in order of first appearance: those
     that share model, scheme, sensor and span, and for the spatial model the
-    grid (``dim`` and ``n``).  A spatial group also shares one truth-only run
-    for the volume sensitivity of its ``k1 > 0`` members."""
+    grid (``dim`` and ``n``).  A spatial group also shares one truth-only run,
+    stepped beside it, for the volume sensitivity of its ``k1 > 0`` members."""
     groups: dict[tuple, list[Scenario]] = {}
     for s in scenarios:
         key = (s.model, s.scheme, s.measurement, s.t0, s.t1)

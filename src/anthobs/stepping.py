@@ -23,14 +23,14 @@ arithmetic, so member ``j`` of a batch records what the lone run of member
 samples are written straight into one preallocated buffer, of which the
 trajectory's truth and observer are views.
 
-A run may instead hand its records over in blocks, to a block consumer
-``on_block``: the buffer then holds one block, of the system's
-``block_records()`` records, and each time it is full (and at the last
-record) the consumer gets it as a :class:`Trajectory` of those records, in
-time order, before the buffer is reused; the block's ``first`` is the index
-of its first record in the run.  Its memory then does not grow with
-the span.  Every run of the runner, of either model, folds each block into
-its CSV rows and its condition diagnostics.
+The loop is one generator, :func:`record_blocks`: its buffer holds one
+block of the system's ``block_records()`` records, which it yields as a
+:class:`Trajectory` each time it is full (and at the last record) before
+reusing it, so a run's memory does not grow with its span.  Two runs of one
+span, step, record stride and grid cut their blocks at the same records, so
+they can be stepped in lockstep.  :func:`simulate` drains it into a block
+consumer ``on_block``, or holds the whole run in one block.  Every run of the
+runner, of either model, folds each block into its CSV rows and diagnostics.
 
 The overshoot is reduced over the state axes that the box bounds do not
 span (the grid axes of a field).  A batch's bounds span its member axis
@@ -50,6 +50,7 @@ __all__ = [
     "step_euler",
     "step_rk4",
     "simulate",
+    "record_blocks",
     "check_run",
     "step_count",
     "members",
@@ -132,8 +133,6 @@ class Trajectory:
     pre-clamp excursion outside the box seen anywhere in the run.  A batch
     run adds a member axis after the component axis, and its ``overshoot``
     holds one value per member; :meth:`member` takes one member's run.
-    ``first`` is the run's index of the first record held: 0 for a whole
-    run, and the start of a block for the blocks of a block consumer.
     """
 
     times: np.ndarray
@@ -142,7 +141,6 @@ class Trajectory:
     measurements: np.ndarray | None
     overshoot: dict[str, float]
     meta: dict = field(default_factory=dict)
-    first: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -154,7 +152,7 @@ class Trajectory:
             times=self.times, truth=pick(self.truth), observer=pick(self.observer),
             measurements=pick(self.measurements),
             overshoot={name: float(v[j]) for name, v in self.overshoot.items()},
-            meta=self.meta, first=self.first)
+            meta=self.meta)
 
 
 def check_run(t0: float, t1: float, dt: float, scheme: str, k1: float, k2: float) -> None:
@@ -206,16 +204,32 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
 
     Records every ``record_stride``-th step (plus the initial sample) and
     returns a :class:`Trajectory`.  Every step ends clamped to the box.  With
-    a block consumer ``on_block``, each block of records is passed to it as a
-    :class:`Trajectory` (valid until the call returns) whose ``first`` is the
-    index of its first record, and the returned trajectory holds the records
-    of the last block only.
+    a block consumer ``on_block``, each block of :func:`record_blocks` is
+    passed to it as a :class:`Trajectory` (valid until the call returns), and
+    the returned trajectory holds the records of the last block only.
 
     Raises ``ValueError`` on a run :func:`check_run` rejects or on an unstable
     diffusion step (CFL check), :class:`NonFiniteError` on a non-finite
     derivative or state, :class:`OvershootError` when the box is left by more
     than ``OVERSHOOT_LIMIT``.
     """
+    blocks = record_blocks(system, t0, t1, dt, scheme, record_stride, truth_only,
+                           whole=on_block is None)
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as done:
+            return done.value
+        if on_block is not None:
+            on_block(block)
+
+
+def record_blocks(system, t0: float, t1: float, dt: float, scheme: str = "euler",
+                  record_stride: int = 10, truth_only: bool = False, whole: bool = False):
+    """The run of :func:`simulate` as a generator: yields each block of records
+    (the whole run as one when ``whole``) as a :class:`Trajectory` valid until
+    it resumes, and returns the last block with the run's overshoot and meta.
+    It checks and steps nothing before the first block is taken."""
     n_steps = _validate_run(system, t0, t1, dt, scheme, record_stride)
     names = system.component_names
     if np.ndim(system.truth0) == 1:  # a handful of scalar components
@@ -237,15 +251,15 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     # records go straight into one buffer; a measurement has the shape of the
     # truth state, (v, rho, drho_dt) against (theta, v, rho)
     n_rec = n_steps // record_stride + 1
-    size = n_rec if on_block is None else min(n_rec, system.block_records())
+    size = n_rec if whole else min(n_rec, system.block_records())
     times = np.empty(size)
     rec = np.empty((size, *np.shape(state)))
     # no observer reads the measurement of a truth-only run: none is taken
     meas_rec = None if truth_only else np.empty((size, 3, *np.shape(state)[1:]))
-    # the records up to the latest, which is record i of the buffer and r of the run
+    # the records of the buffer up to the latest, which is its record i
     records = lambda overshoot, **meta: Trajectory(
         times[:i + 1], rec[:i + 1, :3], None if truth_only else rec[:i + 1, 3:],
-        None if truth_only else meas_rec[:i + 1], overshoot, meta, r - i)
+        None if truth_only else meas_rec[:i + 1], overshoot, meta)
     prev = None
     for k in range(n_steps + 1):
         t = t0 + k * dt
@@ -258,8 +272,8 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
             rec[i] = state
             if not truth_only:
                 meas_rec[i] = m
-            if on_block is not None and (i == size - 1 or r == n_rec - 1):
-                on_block(records({}))
+            if i == size - 1 or r == n_rec - 1:
+                yield records({})
         if k == n_steps:
             break
 

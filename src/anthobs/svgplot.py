@@ -58,10 +58,12 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
             step *= mult
             break
     first = math.ceil(lo / step) * step
+    # 12 decimals, or a step's own decimals where 12 would merge its ticks
+    digits = 12 if step >= 1e-9 else 1 - math.floor(math.log10(step))
     out = []
     x = first
     while x <= hi + 1e-12 * span:
-        out.append(round(x, 12))
+        out.append(round(x, digits))
         if x + step == x:  # a step below the float spacing of x
             break
         x += step

@@ -253,6 +253,15 @@ class TestInputValidation:
                 run()
 
 
+def _streamed(group, sp, grid) -> tuple[dict, list[int]]:
+    """The blocks of the volume sensitivity stream of ``group``, concatenated
+    (one field per initial state, over every record of the run), and the
+    number of records of each block."""
+    blocks = list(runner._volume_sensitivity(group, sp, grid))
+    return ({state: np.concatenate([b[state] for b in blocks]) for state in blocks[0]},
+            [len(next(iter(b.values()))) for b in blocks])
+
+
 class TestVolumeSensitivity:
     def test_one_sided_quotient_at_box_edge(self, p):
         # theta0 = 1 clamps the upper perturbed run to 1: the quotient must
@@ -260,13 +269,45 @@ class TestVolumeSensitivity:
         s = runner.make_scenario(p, "pde", 1.0, 0.5, 1.0, 1e3, 0.0, t1=0.01, dim=1, n=4)
         sp1 = SpatialParameterSet(base=replace(p, k1=1e3))
         grid = Grid(1, 4)
-        sens = runner._volume_sensitivity([s], sp1, grid)[(1.0, 0.5, 1.0)]
+        with pytest.MonkeyPatch.context() as mp:  # 11 records in blocks of 3, 3, 3, 2
+            mp.setattr(pde, "BLOCK_SAMPLES", 3 * 4)
+            fields, sizes = _streamed([s], sp1, grid)
+        sens = fields[(1.0, 0.5, 1.0)]
+        assert sizes == [3, 3, 3, 2]
         lower = 1.0 - runner.SENSITIVITY_DELTA
         v = [simulate(SpatialSystem(sp1, grid, theta0, 0.5, 1.0), 0.0, 0.01, p.dt,
                       record_stride=runner.RECORD_STRIDE, truth_only=True).truth[:, 1]
              for theta0 in (1.0, lower)]
         np.testing.assert_allclose(sens, (v[0] - v[1]) / (1.0 - lower), rtol=1e-12, atol=0)
         assert np.abs(sens[-1]).min() > 0.0
+
+    @given(block=st.integers(1, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_the_stream_is_the_same_at_every_block_size(self, p, block):
+        # 11 records on 4 cells, in blocks of `block` records: most sizes leave
+        # a partial last block, 11 and 12 give the whole run in one
+        grid = dict(dim=1, n=4, t1=0.01)
+        scenarios = [runner.make_scenario(p, "pde", th, v0, th, k1, k2, **grid)
+                     for (th, v0), (k1, k2) in ((SPATIAL_PAIRS[0], (1e3, 0.0)),
+                                                (SPATIAL_PAIRS[2], (1e3, 1e3)),
+                                                (SPATIAL_PAIRS[0], (0.0, 0.0)))]
+        sp, cells = SpatialParameterSet(base=p), Grid(1, 4)
+        whole, sizes = _streamed(scenarios[:2], sp, cells)
+        assert sizes == [11]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            runner.sweep("custom", p, out_dir=root / "whole", scenarios=scenarios)
+            mp.setattr(pde, "BLOCK_SAMPLES", block * 4)
+            fields, sizes = _streamed(scenarios[:2], sp, cells)
+            assert sizes == [block] * (11 // block) + [11 % block] * bool(11 % block)
+            assert fields.keys() == whole.keys() == {(0.75, 0.05, 0.75), (1.0, 0.5, 1.0)}
+            for state, field in whole.items():  # bit for bit
+                assert fields[state].tobytes() == field.tobytes(), state
+            records = runner.sweep("custom", p, out_dir=root / "blocks", scenarios=scenarios)
+            assert [r.status for r in records] == ["ok"] * len(scenarios)
+            for s in scenarios:
+                assert _artifacts(root / "blocks" / s.label) == _artifacts(
+                    root / "whole" / s.label), s.label
 
 
 class TestRunScenario:
@@ -868,11 +909,11 @@ class TestBatchedSweep:
                      for triple, gains in runs]
         n_rec = runner.step_count(t0, t1, p.dt) // runner.RECORD_STRIDE + 1
         block = data.draw(st.integers(1, n_rec))
-        blocks, firsts = [], []
+        blocks = []
 
         def spy(system, *args, on_block, **kwargs):
-            return simulate(system, *args, **kwargs, on_block=lambda b: blocks.append(len(b))
-                            or firsts.append(b.first) or on_block(b))
+            return simulate(system, *args, **kwargs,
+                            on_block=lambda b: blocks.append(len(b)) or on_block(b))
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             root = Path(tmp)
@@ -881,7 +922,6 @@ class TestBatchedSweep:
             mp.setattr(runner, "simulate", spy)
             records = runner.sweep("custom", p, out_dir=root / "blocks", scenarios=scenarios)
             assert blocks == [block] * (n_rec // block) + [n_rec % block] * bool(n_rec % block)
-            assert firsts == [sum(blocks[:i]) for i in range(len(blocks))]
             assert [r.status for r in records] == ["ok"] * len(scenarios)
             for s in scenarios:
                 assert _artifacts(root / "blocks" / s.label) == _artifacts(
@@ -954,17 +994,24 @@ def spatial_groups(draw):
 def _spatial_sweep(p, scenarios, out: Path, monkeypatch):
     """Sweep ``scenarios`` into ``out``; return the records and, for each system
     the sweep stepped, whether it was truth-only and its member count (1 for
-    a lone run)."""
+    a lone run), in the order the runs were started: a group's sensitivity
+    stream, then the group's own run."""
     steps = []
 
-    def spy(system, *args, **kwargs):
-        batch = np.ndim(system.truth0) > 1 + system.grid.dim
-        steps.append((kwargs.get("truth_only", False), np.shape(system.truth0)[1] if batch else 1))
-        return simulate(system, *args, **kwargs)
+    def spying(run):
+        def spy(system, *args, **kwargs):
+            batch = np.ndim(system.truth0) > 1 + system.grid.dim
+            steps.append((kwargs.get("truth_only", False),
+                          np.shape(system.truth0)[1] if batch else 1))
+            return run(system, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(runner, "simulate", spy)
+    runs = {"simulate": runner.simulate, "record_blocks": runner.record_blocks}
+    for name, run in runs.items():
+        monkeypatch.setattr(runner, name, spying(run))
     records = runner.sweep("custom", p, out_dir=out, scenarios=scenarios)
-    monkeypatch.setattr(runner, "simulate", simulate)
+    for name, run in runs.items():
+        monkeypatch.setattr(runner, name, run)
     return records, steps
 
 
@@ -1063,11 +1110,55 @@ class TestSpatialGroups:
                 assert r.status == "ok"
                 assert _artifacts(directory) == _artifacts(tmp_path / "lone" / s.label)
 
-    def test_memory_does_not_grow_with_the_span(self, p):
-        # 41 and 401 records: a run keeps one block of records, not all of them
+    def test_a_sensitivity_failing_mid_run_fails_its_k1_members_alone(
+            self, p, tmp_path, monkeypatch):
+        # 6 records in blocks of 2: the stream gives the first block, then raises
+        # when the group asks for the second
+        grid = dict(dim=1, n=4, t1=0.005)
+        scenarios = [runner.make_scenario(p, "pde", th, v0, th, k1, k2, **grid)
+                     for (th, v0), (k1, k2) in zip(SPATIAL_PAIRS[:2] * 2, runner.GAIN_PAIRS)]
+        monkeypatch.setattr(pde, "BLOCK_SAMPLES", 2 * 4)
+        for s in scenarios:
+            if s.k1 == 0.0:
+                runner.run_scenario(s, p, out_dir=tmp_path / "lone")
+        events, volume_sensitivity, add = [], runner._volume_sensitivity, runner._Folded.add
+
+        def one_block(*args):
+            stream = volume_sensitivity(*args)  # built here, as the stream is
+
+            def first_then_raise():
+                yield next(stream)
+                events.append("raise")
+                raise RuntimeError("sensitivity lost")
+            return first_then_raise()
+
+        def spy(fold, block, sensitivity):
+            events.append(("add", len(block)))
+            add(fold, block, sensitivity)
+        monkeypatch.setattr(runner, "_volume_sensitivity", one_block)
+        monkeypatch.setattr(runner._Folded, "add", spy)
+        records, steps = _spatial_sweep(p, scenarios, tmp_path / "sweep", monkeypatch)
+        # every member of the group folded the first block before the stream raised
+        assert events[:5] == [("add", 2)] * 4 + ["raise"]
+        # then each member alone: a k1 > 0 run steps its stream beside its own run
+        assert steps == [(True, 4), (False, 4), (False, 1), (False, 1),
+                         (True, 2), (False, 1), (True, 2), (False, 1)]
+        for r, s in zip(records, scenarios):
+            directory = tmp_path / "sweep" / s.label
+            if s.k1 > 0.0:
+                assert (r.status, r.error) == ("failed", "RuntimeError: sensitivity lost")
+                assert [f.name for f in directory.iterdir()] == ["record.txt"]
+            else:
+                assert r.status == "ok"
+                assert _artifacts(directory) == _artifacts(tmp_path / "lone" / s.label)
+
+    @pytest.mark.parametrize("k1", [0.0, 1e3])
+    def test_memory_does_not_grow_with_the_span(self, p, k1):
+        # 41 and 401 records: a run keeps one block of records, not all of them,
+        # and with k1 > 0 its sensitivity stream one block of its truths
         peaks = []
         for t1 in (0.04, 0.4):
-            scenarios = [runner.make_scenario(p, "pde", th, v0, th, 0.0, k2, t1=t1)
+            scenarios = [runner.make_scenario(p, "pde", th, v0, th, k1, k2, t1=t1)
                          for (th, v0), k2 in (((0.75, 0.5), 0.0), ((0.05, 0.05), 1e3))]
             tracemalloc.start()
             try:
@@ -1247,6 +1338,22 @@ class TestPlots:
                   if key in ("x", "y", "x1", "y1", "x2", "y2", "points")]
         numbers = [float(n) for c in coords for n in re.split("[ ,]", c)]
         assert len(numbers) > 4 and np.all(np.isfinite(numbers))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-13), (-3e-20, 7e-20), (0.0, 1e-300),
+                                        (1.0, 1.0 + 1e-14), (0.3, 0.3 + 1e-10), (0.0, 1.0)])
+    def test_ticks_of_a_small_span_stay_apart(self, lo, hi):
+        # a tick rounded to 12 decimals reads 0 for every tick of a span below 1e-12
+        ticks = svgplot._ticks(lo, hi)
+        assert len(ticks) >= 2
+        assert all(a < b for a, b in zip(ticks, ticks[1:])), ticks
+        assert lo <= ticks[0] and ticks[-1] <= hi, ticks
+
+    def test_a_plot_over_a_small_span_labels_each_tick(self, tmp_path):
+        svgplot.line_plot(tmp_path / "plot.svg", [0.0, 1.0], [("y", [0.0, 1e-13])],
+                          "t", "t", "y")
+        labels = [el.text for el in ET.parse(tmp_path / "plot.svg").getroot().iter()
+                  if el.get("text-anchor") == "end"]  # the y tick labels
+        assert len(labels) == len(set(labels)) >= 2, labels
 
     @pytest.fixture()
     def run_dirs(self, p, tmp_path, fast_scenarios):
