@@ -131,7 +131,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    dirs = runner.scenario_dirs(args.run_dir)
+    # a failed run's directory holds no series to plot
+    dirs = [d for d in runner.scenario_dirs(args.run_dir) if (d / "series.csv").exists()]
     if not dirs:
         print(f"no artifacts under {args.run_dir}", file=sys.stderr)
         return 2

@@ -42,10 +42,14 @@ REL_ERR_FLOOR = 1e-3
 #: reference step 1e-4.
 ENVELOPE_TOL = 1e-3
 
-#: Intervals whose Simpson nodes :func:`envelope_series` evaluates at once.
-ENVELOPE_BLOCK = 64
-#: Fewest Simpson panels of :func:`envelope_series` per recorded interval.
-ENVELOPE_PANELS = 64
+#: Widest Simpson sub-interval of :func:`envelope_series`, for the 1e-9 relative
+#: accuracy against :func:`analytic_envelope` that the tests pin: a study record
+#: interval, 1e-3 plus rounding, takes 6 and deviates by at most 4.2e-10 in the
+#: year; 4 would deviate by 2.1e-9 at the control weight's peaks near t = 0.28.
+ENVELOPE_STEP = 1.7e-4
+#: Most Simpson nodes :func:`envelope_series` evaluates at once; it refuses
+#: an interval that needs more.
+ENVELOPE_NODES = 2 ** 16
 
 
 def relative_abs_error(theta, theta_hat, floor: float = REL_ERR_FLOOR):
@@ -130,8 +134,9 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float) -> np.ndarray
 
     Equivalent to calling :func:`analytic_envelope` at each element of
     ``times`` (validated against it in the test suite) but evaluated with a
-    cumulative per-interval Simpson rule, vectorised over blocks of
-    ``ENVELOPE_BLOCK`` intervals.
+    cumulative per-interval Simpson rule of sub-intervals no wider than
+    ``ENVELOPE_STEP``, on at most ``ENVELOPE_NODES`` nodes at once.  Raises
+    ``ValueError`` when one interval needs more nodes than that.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -140,14 +145,17 @@ def envelope_series(times: np.ndarray, p: ParameterSet, e0: float) -> np.ndarray
         raise ValueError("times must be nonnegative and strictly increasing")
     edges = np.concatenate([[0.0], times]) if times[0] > 0.0 else times
     widths = np.diff(edges)
-    # keep sub-panels below ~2e-5 so coarse recording grids stay accurate
-    m = max(ENVELOPE_PANELS, int(math.ceil(widths.max(initial=0.0) * 2.5e4)))
-    # Simpson nodes of a block of intervals at a time, shape (block, 2m+1): the
-    # nodes of a whole year at once hold several MB of temporaries
+    panels = widths.max(initial=0.0) / (2 * ENVELOPE_STEP)
+    if not panels <= (ENVELOPE_NODES - 1) // 2:
+        raise ValueError(f"an interval of width {widths.max():g} needs more than"
+                         f" {ENVELOPE_NODES} Simpson nodes")
+    m = max(1, math.ceil(panels))
+    # blocks of whole intervals, at most ENVELOPE_NODES nodes each: a study year is one
+    block_len = ENVELOPE_NODES // (2 * m + 1)
     starts, spacing = edges[:-1], np.linspace(0.0, 1.0, 2 * m + 1)
     integrals = np.empty(len(widths))
-    for i in range(0, len(widths), ENVELOPE_BLOCK):
-        block = slice(i, i + ENVELOPE_BLOCK)
+    for i in range(0, len(widths), block_len):
+        block = slice(i, i + block_len)
         nodes = starts[block, None] + widths[block, None] * spacing
         vals = forcing.inhibition_forcing(nodes, p) * forcing.inhibition_weight(nodes, p)
         integrals[block] = _simpson(vals, widths[block] / (2 * m))

@@ -227,24 +227,15 @@ def _pde_rows(traj) -> np.ndarray:
 
 
 def _envelope_checks_ode(s: Scenario, p: ParameterSet, t: np.ndarray, e: np.ndarray,
-                         envelopes: dict, slack: float = 0.0) -> dict[str, str]:
+                         slack: float = 0.0) -> dict[str, str]:
     """Exact-law and squared-error envelope verdicts of the error ``e`` at times
-    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts.
-
-    The unit envelope ``metrics.envelope_series(t, p, 1.0)`` is kept,
-    read-only, in ``envelopes``, the memo of the calling :func:`_run_group` or
-    :func:`check_artifacts` call: it is computed once per distinct time grid
-    and forcing, since it reads no gain and equal time bytes give an equal
-    integral.  The memo is looked up only when a verdict applies."""
+    ``t``, where applicable; ``slack`` absorbs the rounding of stored artifacts."""
     checks: dict[str, str] = {"exact_law": "n/a", "decay_envelope": "n/a"}
     if s.k1 != 0.0 or s.measurement != "exact":
         return checks
-    key = (t.tobytes(), dataclasses.replace(p, k1=0.0, k2=0.0))
-    if key not in envelopes:
-        envelopes[key] = metrics.envelope_series(t, p, 1.0)
-        envelopes[key].flags.writeable = False
+    unit = metrics.envelope_series(t, p, 1.0)
     # envelope_series integrates from 0: a run from t0 > 0 starts at its own e(t0)
-    env = float(e[0]) * envelopes[key] / envelopes[key][0]
+    env = float(e[0]) * unit / unit[0]
     if s.k2 == 0.0:
         worst = float(np.max(np.abs(e - env)))
         checks["exact_law"] = "pass" if worst <= 1e-3 * abs(e[0]) + slack else "fail"
@@ -267,17 +258,12 @@ def _envelope_checks_pde(s: Scenario, t: np.ndarray, l2_err: np.ndarray,
 
 
 def _verdicts(s: Scenario, p: ParameterSet, col: dict[str, np.ndarray],
-              alpha_inf: float, envelopes: dict,
-              slack: float = 0.0) -> tuple[dict[str, str], float, float]:
+              alpha_inf: float, slack: float = 0.0) -> tuple[dict[str, str], float, float]:
     """Envelope verdicts and final absolute and relative errors of a run, read
     from its artifact columns ``col``; the run and :func:`check_artifacts` both
-    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic.
-    ``envelopes`` is the memo of within-host unit envelopes of one
-    :func:`_run_group` or :func:`check_artifacts` call, one per distinct time
-    grid and forcing (:func:`_envelope_checks_ode`)."""
+    derive them here.  ``alpha_inf`` is the run's ``inf(alpha)`` diagnostic."""
     if s.model == "ode":
-        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"],
-                                      envelopes, slack)
+        checks = _envelope_checks_ode(s, p, col["t"], col["theta"] - col["theta_hat"], slack)
         return checks, float(col["abs_err"][-1]), float(col["rel_err"][-1])
     checks = _envelope_checks_pde(s, col["t"], col["l2_err"], alpha_inf, slack)
     return checks, float(col["abs_err_mean"][-1]), float(col["rel_err_mean"][-1])
@@ -424,9 +410,8 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
             return [_failed(first, out_dir, t_start, exc)]
         return [r for s in group for r in _run_group([s], p, sp, out_dir)]
     share = (time.perf_counter() - t_start) / len(group)  # of each member's wall clock
-    envelopes: dict = {}  # one unit envelope for the group's time grid and forcing
     return [_conclude(s, system, member(traj, j).overshoot, out_dir,
-                      time.perf_counter() - share, folded[j], envelopes)
+                      time.perf_counter() - share, folded[j])
             for j, s in enumerate(group)]
 
 
@@ -439,7 +424,7 @@ def _scenario_dir(s: Scenario, out_dir) -> Path | None:
 
 
 def _conclude(s: Scenario, system, overshoot: dict, out_dir, t_start: float,
-              folded: _Folded, envelopes: dict) -> RunRecord:
+              folded: _Folded) -> RunRecord:
     """Derive the verdicts of scenario ``s``, a member of a run of ``system``
     with the overshoot maxima ``overshoot``, from the rows and condition
     report that ``folded`` took from every block of its records, and write
@@ -450,7 +435,7 @@ def _conclude(s: Scenario, system, overshoot: dict, out_dir, t_start: float,
     try:
         rows, report = folded.result()
         checks, final_abs_err, final_rel_err = _verdicts(
-            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf, envelopes)
+            s, p_run, dict(zip(columns, rows.T)), report.alpha_inf)
     except Exception as exc:  # recorded, the sweep goes on
         return _failed(s, out_dir, t_start, exc)
 
@@ -571,7 +556,7 @@ def sweep(kind: str, p: ParameterSet | None = None,
 # artifact re-verification and plotting
 # ---------------------------------------------------------------------------
 
-def _check_one_dir(directory: Path, envelopes: dict) -> list[str]:
+def _check_one_dir(directory: Path) -> list[str]:
     csv_path = directory / "series.csv"
     rec_path = directory / "record.txt"
     cfg_path = directory / "config.txt"
@@ -609,16 +594,14 @@ def _check_one_dir(directory: Path, envelopes: dict) -> list[str]:
     nine_digit_slack = 1e-7
     problems: list[str] = []
 
-    # a time written to 9 significant digits is off by at most 5e-9 of
-    # itself, so a stride moves by at most 1e-8 * max|t| either way
+    # a time written to 9 significant digits is off by at most 5e-9 of itself
     time_slack = 1e-8 * np.max(np.abs(t))
-    if len(t) > 1:
-        strides = np.diff(t)
-        if np.any(strides <= 0) or np.ptp(strides) > 2 * time_slack:
-            problems.append(f"{directory}: time axis is not a uniform grid")
+    # the record times of the loop, t0 + k*dt at every RECORD_STRIDE-th step
+    # k, in the same IEEE operations; the count first, so that a forged span
+    # allocates no grid
     n_rec = step_count(s.t0, s.t1, p.dt) // RECORD_STRIDE + 1
-    last = s.t0 + (len(t) - 1) * RECORD_STRIDE * p.dt
-    if len(t) != n_rec or max(abs(t[0] - s.t0), abs(t[-1] - last)) > time_slack:
+    if len(t) != n_rec or np.max(np.abs(
+            t - (s.t0 + np.arange(n_rec) * RECORD_STRIDE * p.dt))) > time_slack:
         problems.append(f"{directory}: time axis is not the records of the snapshot's span")
     # a run records its observer at t0 as theta_hat = 0, and within host v_hat = v
     start = [col[key][0] for key in col if key.startswith("theta_hat")]
@@ -657,8 +640,7 @@ def _check_one_dir(directory: Path, envelopes: dict) -> list[str]:
         except ValueError:
             return problems + [f"{directory}: {rec_path.name}: {key} = {rec[key]!r} is not a number"]
     try:
-        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"], envelopes,
-                                    nine_digit_slack)
+        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"], nine_digit_slack)
     except ValueError as exc:  # a table or record no run writes
         return problems + [f"{directory}: cannot replay the checks: {exc}"]
     for name, verdict in checks.items():
@@ -676,13 +658,16 @@ def _check_one_dir(directory: Path, envelopes: dict) -> list[str]:
 def _sweeps(run_dir: Path):
     """Yield ``(sweep root, scenario directories)``: ``(None, [run_dir])`` when
     ``run_dir`` is one scenario, else ``run_dir`` with its subdirectories that
-    hold a ``series.csv``, then the same for every subdirectory that holds a
-    ``manifest.txt`` (such as the ``<out>/<kind>`` sweeps of ``anthobs run``)."""
-    if (run_dir / "series.csv").exists() or (run_dir / "record.txt").exists():
+    are scenarios, then the same for every subdirectory that holds a
+    ``manifest.txt`` (such as the ``<out>/<kind>`` sweeps of ``anthobs run``).
+    A scenario directory holds a ``series.csv`` or, after a failed run, only a
+    ``record.txt``."""
+    scenario = lambda d: (d / "series.csv").exists() or (d / "record.txt").exists()
+    if scenario(run_dir):
         yield None, [run_dir]
         return
     subdirs = sorted(run_dir.iterdir())
-    yield run_dir, [d for d in subdirs if (d / "series.csv").exists()]
+    yield run_dir, [d for d in subdirs if scenario(d)]
     for d in subdirs:
         if (d / "manifest.txt").exists():
             yield from _sweeps(d)
@@ -696,21 +681,20 @@ def scenario_dirs(run_dir: str | Path) -> list[Path]:
 def check_artifacts(run_dir: str | Path) -> list[str]:
     """Re-verify every scenario artifact below ``run_dir``; return problems.
 
-    Accepts either one scenario directory or a sweep root.  A sweep root's
+    Accepts either one scenario directory or a sweep root.  A scenario
+    directory holds a ``series.csv`` or a ``record.txt``, so a failed run's
+    directory is checked, and fails by its recorded status.  A sweep root's
     ``manifest.txt``, when present, must list every checked directory, and
     every scenario as ``label ok`` with a checked directory; any other entry
     or directory is a problem of ``<root>/<label>``, and a line of any other
     shape is a problem of the manifest.  Every subdirectory that holds a
     ``manifest.txt`` is checked as a sweep root too.  A damaged snapshot or
     CSV is a problem of its directory.  A clean result is an empty list.
-    Pure function of the on-disk artifacts: the times must be the records of
-    the snapshot's span, from the observer's initial state, and the verdicts
-    and final errors must replay from the CSV, but nothing is re-run, so
-    later states forged to agree with the error columns and the record pass.
-
-    The within-host envelope verdicts of one call share a memo, so each
-    distinct time grid and forcing costs one quadrature per call; a directory
-    whose times differ in any bit gets its own.  Nothing is kept between calls.
+    Pure function of the on-disk artifacts: each time must be its record
+    time of the snapshot's span, the first row the observer's initial state,
+    and the verdicts and final errors must replay from the CSV, but nothing is
+    re-run, so later states forged to agree with the error columns and the
+    record pass.
     """
     run_dir = Path(run_dir)
     if not run_dir.exists():
@@ -718,10 +702,9 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     sweeps = list(_sweeps(run_dir))
     found = any(dirs for _, dirs in sweeps)
     problems: list[str] = [] if found else [f"{run_dir}: no scenario artifacts found"]
-    envelopes: dict = {}
     for root, dirs in sweeps:
         for d in dirs:
-            problems.extend(_check_one_dir(d, envelopes))
+            problems.extend(_check_one_dir(d))
         if root is None or not (root / "manifest.txt").exists():
             continue
         manifest = root / "manifest.txt"

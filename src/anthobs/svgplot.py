@@ -70,8 +70,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _labels(ticks: list[float]) -> list[str]:
+    """Labels of an axis's ``ticks`` in the fewest significant digits, from 6
+    up to 17, that keep distinct ticks apart."""
+    for digits in range(6, 18):
+        labels = [f"{x:.{digits}g}" for x in ticks]
+        if len(set(labels)) == len(set(ticks)):
+            return labels
+    return labels
 
 
 def line_plot(path: str | Path, x, series: list[tuple[str, object]],
@@ -108,18 +114,19 @@ def line_plot(path: str | Path, x, series: list[tuple[str, object]],
                f'y2="{MARGIN_T + ph}" {axis_style}/>')
     out.append(f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
                f'y2="{MARGIN_T + ph}" {axis_style}/>')
-    for tx in _ticks(x_lo, x_hi):
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
+    for tx, label in zip(x_ticks, _labels([tx / x_scale for tx in x_ticks])):
         px = sx(tx)
         out.append(f'<line x1="{px:.2f}" y1="{MARGIN_T + ph}" x2="{px:.2f}" '
                    f'y2="{MARGIN_T + ph + 5}" {axis_style}/>')
         out.append(f'<text x="{px:.2f}" y="{MARGIN_T + ph + 20}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(tx / x_scale)}</text>')
-    for ty in _ticks(y_lo, y_hi):
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
+    for ty, label in zip(y_ticks, _labels([ty / y_scale for ty in y_ticks])):
         py = sy(ty)
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" '
                    f'y2="{py:.2f}" {axis_style}/>')
         out.append(f'<text x="{MARGIN_L - 9}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(ty / y_scale)}</text>')
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
     out.append(f'<text x="{MARGIN_L + pw / 2:.1f}" y="{HEIGHT - 12}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>')
     out.append(f'<text x="20" y="{MARGIN_T + ph / 2:.1f}" text-anchor="middle" '

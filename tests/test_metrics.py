@@ -89,10 +89,12 @@ class TestEnvelopeSeries:
     def test_matches_scalar_op(self, p):
         a = lambda ts: inhibition_forcing(ts, p)
         w = lambda ts: inhibition_weight(ts, p)
-        times = np.array([0.001, 0.1, 0.25, 0.5, 0.777, 1.0])
-        series = envelope_series(times, p, 0.75)
-        scalar = np.array([analytic_envelope(t, a, w, 0.75) for t in times])
-        np.testing.assert_allclose(series, scalar, rtol=1e-9)
+        # wide intervals, and the 1e-3 record intervals of the study's year,
+        # which take the fewest sub-intervals
+        for times in (np.array([0.001, 0.1, 0.25, 0.5, 0.777, 1.0]), np.linspace(0.0, 1.0, 1001)):
+            series = envelope_series(times, p, 0.75)
+            scalar = np.array([analytic_envelope(t, a, w, 0.75) for t in times])
+            np.testing.assert_allclose(series, scalar, rtol=1e-9)
 
     def test_time_zero_included(self, p):
         times = np.array([0.0, 0.5])
@@ -103,21 +105,31 @@ class TestEnvelopeSeries:
         with pytest.raises(ValueError):
             envelope_series(np.array([0.5, 0.2]), p, 1.0)
 
+    @pytest.mark.parametrize("times", [np.array([0.0, 1e6]), np.array([0.0, 0.01, 1e6]),
+                                       np.array([1e6])])
+    def test_interval_beyond_the_node_budget_rejected(self, p, times):
+        # one wide interval sets the rule of every interval: 1e6 would take
+        # billions of nodes each
+        with pytest.raises(ValueError, match="Simpson nodes"):
+            envelope_series(times, p, 1.0)
+
     @pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 1001), np.linspace(0.3, 0.9, 65),
                                        np.array([0.0]), np.array([0.2])])
     def test_blocks_of_intervals_leave_the_value(self, p, times, monkeypatch):
         # one block of every interval is the rule on all Simpson nodes at once
-        monkeypatch.setattr(metrics, "ENVELOPE_BLOCK", len(times) + 1)
+        widest = np.diff(np.concatenate([[0.0], times])).max(initial=0.0)
+        nodes = 2 * max(1, math.ceil(widest / (2 * metrics.ENVELOPE_STEP))) + 1  # per interval
+        monkeypatch.setattr(metrics, "ENVELOPE_NODES", nodes * (len(times) + 1))
         whole = envelope_series(times, p, 0.75)
         for block in (1, 7, 64):
-            monkeypatch.setattr(metrics, "ENVELOPE_BLOCK", block)
+            monkeypatch.setattr(metrics, "ENVELOPE_NODES", nodes * block)
             assert np.array_equal(envelope_series(times, p, 0.75), whole)
 
     @given(t0=st.one_of(st.just(0.0), st.floats(1e-3, 0.05)),
            widths=st.lists(st.floats(1e-4, 0.01), max_size=49),
            k1=st.floats(0.0, 1e4), k2=st.floats(0.0, 1e4))
     def test_gains_leave_the_value(self, p, t0, widths, k1, k2):
-        # the runner keeps one envelope per time grid and gain-free parameter set
+        # the envelope is the gain-free law: the gains of the run leave it
         times = t0 + np.cumsum([0.0, *widths])
         assert np.array_equal(envelope_series(times, replace(p, k1=k1, k2=k2), 1.0),
                               envelope_series(times, replace(p, k1=0.0, k2=0.0), 1.0))

@@ -412,6 +412,21 @@ class TestRunScenario:
         assert "cond_alpha_inf" in text
 
 
+#: The runs of one within-host sweep, one per gain pair, by label.
+TAMPER_SWEEP = {s.label: s for s in (runner.make_scenario(ParameterSet(), "ode", 0.75, 0.5, 0.25,
+                                                          k1, k2, t1=0.02)
+                                     for k1, k2 in runner.GAIN_PAIRS)}
+
+
+@pytest.fixture(scope="module")
+def tamper_sweep(p, tmp_path_factory):
+    """The root of one sweep of ``TAMPER_SWEEP``, which a test copies before it
+    edits a file."""
+    root = tmp_path_factory.mktemp("tamper")
+    runner.sweep("custom", p, out_dir=root, scenarios=list(TAMPER_SWEEP.values()))
+    return root
+
+
 class TestSweepAndCheck:
     def test_sweep_writes_manifest_and_checks_clean(self, p, tmp_path, fast_scenarios):
         records = runner.sweep("custom", p, out_dir=tmp_path,
@@ -524,8 +539,23 @@ class TestSweepAndCheck:
                                scenarios=[fast_scenarios[0], bad])
         assert [r.status for r in records] == ["ok", "failed"]
         problems = runner.check_artifacts(tmp_path)
-        assert problems == [f"{tmp_path / bad.label}: manifest status 'failed'"]
+        assert problems == [f"{tmp_path / bad.label}: recorded status 'failed' ({records[1].error})",
+                            f"{tmp_path / bad.label}: manifest status 'failed'"]
         assert main(["check", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+    def test_unlisted_failed_directory_fails_check(self, p, tmp_path, fast_scenarios, manifest):
+        # a failed lone run into the root of an ok sweep: its directory holds
+        # only record.txt, and the manifest of the sweep does not list it
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
+        bad = runner.make_scenario(p, "pde", 0.05, 0.5, 0.05, 0.0, 0.0, dim=2, n=512)
+        rec = runner.run_scenario(bad, p, out_dir=tmp_path)
+        assert rec.status == "failed"
+        if not manifest:
+            (tmp_path / "manifest.txt").unlink()
+        failed = f"{tmp_path / bad.label}: recorded status 'failed' ({rec.error})"
+        unlisted = [f"{tmp_path / bad.label}: not listed in manifest.txt"] if manifest else []
+        assert runner.check_artifacts(tmp_path) == [failed, *unlisted]
 
     def test_failed_run_writes_record(self, p, tmp_path, fast_scenarios, capsys):
         bad = runner.make_scenario(p, "pde", 0.05, 0.5, 0.05, 0.0, 0.0, dim=2, n=512)
@@ -605,7 +635,7 @@ class TestSweepAndCheck:
         checked = []
         check_one = runner._check_one_dir
         monkeypatch.setattr(runner, "_check_one_dir",
-                            lambda d, envelopes: checked.append(d) or check_one(d, envelopes))
+                            lambda d: checked.append(d) or check_one(d))
         (problem,) = runner.check_artifacts(tmp_path)
         assert re.fullmatch(rf"{re.escape(str(damaged))}: record\.txt: {key} = 'x.*'"
                             " is not a number", problem)
@@ -639,8 +669,7 @@ class TestSweepAndCheck:
         checked = []
         check_one = runner._check_one_dir
         monkeypatch.setattr(runner, "_check_one_dir",
-                            lambda directory, envelopes:
-                            checked.append(directory) or check_one(directory, envelopes))
+                            lambda directory: checked.append(directory) or check_one(directory))
         problems = runner.check_artifacts(tmp_path)
         assert problems[-1] == f"{d}: cannot replay the checks: {reason}"
         assert all(problem.startswith(f"{d}: ") for problem in problems)
@@ -670,8 +699,7 @@ class TestSweepAndCheck:
         checked = []
         check_one = runner._check_one_dir
         monkeypatch.setattr(runner, "_check_one_dir",
-                            lambda directory, envelopes:
-                            checked.append(directory) or check_one(directory, envelopes))
+                            lambda directory: checked.append(directory) or check_one(directory))
         assert runner.check_artifacts(tmp_path) == [
             f"{d}: column {name} is not finite at t={t}" for name in columns]
         assert checked == [d, tmp_path / healthy.label]
@@ -686,7 +714,8 @@ class TestSweepAndCheck:
         assert runner.check_artifacts(tmp_path) == []
         csv = tmp_path / s.label / "series.csv"
         self._edit_csv(csv, "t", 100, lambda x: f"{x + 1e-6:.9g}")
-        assert f"{csv.parent}: time axis is not a uniform grid" in runner.check_artifacts(tmp_path)
+        assert f"{csv.parent}: time axis is not the records of the snapshot's span" \
+            in runner.check_artifacts(tmp_path)
 
     @pytest.mark.parametrize("forgery", ["rescaled", "halved", "first_row_dropped"])
     @pytest.mark.parametrize("model", ["ode", "pde"])
@@ -761,7 +790,7 @@ class TestSweepAndCheck:
             runner.sweep("custom", p, out_dir=tmp_path / "out", scenarios=[first, twin])
         assert not (tmp_path / "out").exists()
 
-    def test_one_envelope_per_time_grid_and_call(self, p, tmp_path, monkeypatch):
+    def test_shifted_times_fail_their_directory_alone(self, p, tmp_path):
         # one within-host group: three gain-free members and a k1 > 0 one
         scenarios = [runner.make_scenario(p, "ode", *triple, k1, k2, t1=0.02)
                      for triple, k1, k2 in (((0.75, 0.5, 0.25), 0.0, 0.0),
@@ -769,21 +798,10 @@ class TestSweepAndCheck:
                                             ((0.05, 0.05, 0.05), 0.0, 0.0),
                                             ((0.05, 0.05, 0.05), 1e3, 0.0))]
         assert len(runner._groups(scenarios)) == 1
-        calls = []
-        envelope_series = metrics.envelope_series
-        monkeypatch.setattr(metrics, "envelope_series",
-                            lambda *args: calls.append(args) or envelope_series(*args))
         runner.sweep("custom", p, out_dir=tmp_path, scenarios=scenarios)
-        assert len(calls) == 1
-        # each call computes its own, and the second one computes it again
-        verdicts = []
-        for _ in range(2):
-            calls.clear()
-            verdicts.append(runner.check_artifacts(tmp_path))
-            assert len(calls) == 1
-        assert verdicts == [[], []]
+        assert runner.check_artifacts(tmp_path) == []
         # times shifted far beyond the 9-digit slack: only that directory fails,
-        # as it does when checked alone, with a quadrature of its own
+        # as it does when checked alone
         shifted = tmp_path / scenarios[2].label
         csv = shifted / "series.csv"
         header, *rows = csv.read_text().splitlines()
@@ -791,9 +809,41 @@ class TestSweepAndCheck:
                                               (row.split(",", 1) for row in rows)]) + "\n")
         alone = runner.check_artifacts(shifted)
         assert alone and all(problem.startswith(f"{shifted}: ") for problem in alone)
-        calls.clear()
         assert runner.check_artifacts(tmp_path) == alone
-        assert len(calls) == 2
+
+    def test_a_time_far_off_its_record_is_reported_not_raised(self, p, tmp_path):
+        # one wide interval would set the quadrature of every interval: the
+        # replay reports it instead of allocating nodes for it
+        s = runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.02)
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=[s])
+        csv = tmp_path / s.label / "series.csv"
+        self._edit_csv(csv, "t", -1, lambda x: "1000000")
+        assert runner.check_artifacts(tmp_path) == [
+            f"{csv.parent}: time axis is not the records of the snapshot's span",
+            f"{csv.parent}: cannot replay the checks: an interval of width 1e+06 needs more"
+            f" than {metrics.ENVELOPE_NODES} Simpson nodes"]
+
+    def test_a_record_interval_beyond_the_quadrature_fails_its_run(self, tmp_path):
+        q = ParameterSet(dt=1e5)
+        s = runner.make_scenario(q, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=1e6)
+        rec = runner.run_scenario(s, q, out_dir=tmp_path)
+        assert rec.status == "failed"
+        assert rec.error == (f"ValueError: an interval of width 1e+06 needs more than"
+                             f" {metrics.ENVELOPE_NODES} Simpson nodes")
+
+    @given(column=st.sampled_from(["t", "theta", "theta_hat", "abs_err", "rel_err"]),
+           row=st.integers(1, 21),  # the 21 records of t1 = 0.02
+           shift=st.floats(1e-3, 1e3), sign=st.sampled_from([-1, 1]),
+           label=st.sampled_from(sorted(TAMPER_SWEEP)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_shifted_value_of_a_rederived_column_fails(self, tamper_sweep, column, row,
+                                                           shift, sign, label):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d) / label
+            shutil.copytree(tamper_sweep / label, directory)
+            self._edit_csv(directory / "series.csv", column, row,
+                           lambda x: f"{x + sign * shift:.9g}")
+            assert runner.check_artifacts(directory) != []
 
 
 #: The initial triples of the reference within-host study, and short spans.
@@ -1227,7 +1277,7 @@ class TestAtomicWrites:
 def _reference_line_plot(path, x, series, title, xlabel, ylabel) -> None:
     """``svgplot.line_plot`` as it formatted each point with its own f-string."""
     from anthobs.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
-                                 WIDTH, _fmt, _range, _ticks)
+                                 WIDTH, _labels, _range, _ticks)
     x = [float(v) for v in x]
     ys_all = [float(v) for _, ys in series for v in ys]
     x_lo, x_hi = _range(x)
@@ -1249,16 +1299,17 @@ def _reference_line_plot(path, x, series, title, xlabel, ylabel) -> None:
         f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
         f'y2="{MARGIN_T + ph}" {axis_style}/>',
     ]
-    for tx in _ticks(x_lo, x_hi):
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
+    for tx, label in zip(x_ticks, _labels(x_ticks)):
         out.append(f'<line x1="{sx(tx):.2f}" y1="{MARGIN_T + ph}" x2="{sx(tx):.2f}" '
                    f'y2="{MARGIN_T + ph + 5}" {axis_style}/>')
         out.append(f'<text x="{sx(tx):.2f}" y="{MARGIN_T + ph + 20}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>')
-    for ty in _ticks(y_lo, y_hi):
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
+    for ty, label in zip(y_ticks, _labels(y_ticks)):
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{sy(ty):.2f}" x2="{MARGIN_L}" '
                    f'y2="{sy(ty):.2f}" {axis_style}/>')
         out.append(f'<text x="{MARGIN_L - 9}" y="{sy(ty) + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
     out.append(f'<text x="{MARGIN_L + pw / 2:.1f}" y="{HEIGHT - 12}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>')
     out.append(f'<text x="20" y="{MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
@@ -1349,11 +1400,13 @@ class TestPlots:
         assert lo <= ticks[0] and ticks[-1] <= hi, ticks
 
     def test_a_plot_over_a_small_span_labels_each_tick(self, tmp_path):
-        svgplot.line_plot(tmp_path / "plot.svg", [0.0, 1.0], [("y", [0.0, 1e-13])],
-                          "t", "t", "y")
-        labels = [el.text for el in ET.parse(tmp_path / "plot.svg").getroot().iter()
-                  if el.get("text-anchor") == "end"]  # the y tick labels
-        assert len(labels) == len(set(labels)) >= 2, labels
+        # a span below 1e-12, and one below 1e-6 of its values, whose ticks
+        # read alike in 6 significant digits
+        for ys in ([0.0, 1e-13], [1.0, 1.0 + 1e-14]):
+            svgplot.line_plot(tmp_path / "plot.svg", [0.0, 1.0], [("y", ys)], "t", "t", "y")
+            labels = [el.text for el in ET.parse(tmp_path / "plot.svg").getroot().iter()
+                      if el.get("text-anchor") == "end"]  # the y tick labels
+            assert len(labels) == len(set(labels)) >= 2, labels
 
     @pytest.fixture()
     def run_dirs(self, p, tmp_path, fast_scenarios):
