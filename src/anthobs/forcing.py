@@ -27,7 +27,6 @@ __all__ = [
     "rot_forcing",
     "volume_capacity",
     "seasonal",
-    "first_offender",
     "anisotropy_matrix",
     "radial_squared",
     "spatial_weight",
@@ -38,12 +37,15 @@ __all__ = [
 Value = float | np.ndarray
 
 
-def first_offender(bad, *values) -> list[float]:
-    """Each of ``values`` at the first set element of the boolean ``bad``,
-    which they broadcast against; names one offending sample in an error
-    message whether the arguments are floats or arrays."""
-    index = np.unravel_index(np.argmax(bad), np.shape(bad))
-    return [float(np.broadcast_to(v, np.shape(bad))[index]) for v in values]
+def positive(x: Value, t: Value, message: str) -> Value:
+    """``x``, or ``ValueError(message.format(value=..., t=...))`` at the first sample
+    where ``x <= 0``, with ``t`` broadcast against ``x``; a guard, not in ``__all__``."""
+    bad = x <= 0.0
+    if bad is not False and np.any(bad):  # a float x tests one bool
+        index = np.unravel_index(np.argmax(bad), np.shape(bad))
+        value, t_bad = (float(np.broadcast_to(v, np.shape(bad))[index]) for v in (x, t))
+        raise ValueError(message.format(value=value, t=t_bad))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +75,7 @@ def inhibition_weight(t: Value, p: ParameterSet, u_space: Value = 1.0) -> Value:
     configuration; impossible for ``sigma < 1`` since ``u_space*u <= 1``).
     """
     den = 1.0 - p.sigma * (u_space * control(t, p))
-    bad = den <= 0.0
-    if bad is not False and np.any(bad):  # a float time tests one bool
-        raise ValueError(f"sigma*u(t) >= 1 at t={first_offender(bad, t)[0]}:"
-                         " control weight is singular")
-    return 1.0 / den
+    return 1.0 / positive(den, t, "sigma*u(t) >= 1 at t={t}: control weight is singular")
 
 
 def seasonal(t: Value, b: float, c: float, d: float) -> Value:

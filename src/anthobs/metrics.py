@@ -75,24 +75,24 @@ class ErrorSeries:
     l2_err: np.ndarray | None = None  # (n,) sqrt of the cell mean of e^2
 
 
-def error_series_ode(traj, floor: float = REL_ERR_FLOOR) -> ErrorSeries:
+def error_series_ode(traj) -> ErrorSeries:
     """Inhibition-rate estimation errors along a within-host trajectory."""
     theta = traj.truth[:, 0]
     theta_hat = traj.observer[:, 0]
     return ErrorSeries(
         times=traj.times,
         abs_err=np.abs(theta - theta_hat),
-        rel_err=relative_abs_error(theta, theta_hat, floor),
+        rel_err=relative_abs_error(theta, theta_hat),
     )
 
 
-def error_series_pde(traj, floor: float = REL_ERR_FLOOR) -> ErrorSeries:
+def error_series_pde(traj) -> ErrorSeries:
     """Spatially aggregated estimation errors along a spatial trajectory."""
     theta = traj.truth[:, 0]
     theta_hat = traj.observer[:, 0]
     axes = tuple(range(1, theta.ndim))
     abs_err = np.abs(theta - theta_hat)
-    rel_err = relative_abs_error(theta, theta_hat, floor)
+    rel_err = relative_abs_error(theta, theta_hat)
     abs_agg, rel_agg = (np.stack(pde.aggregate(f, axes), axis=1) for f in (abs_err, rel_err))
     return ErrorSeries(
         times=traj.times,

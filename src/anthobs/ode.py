@@ -111,11 +111,8 @@ def model_rhs(t: float, s: ModelState, p: ParameterSet,
     Raises ``ValueError`` naming the first sample where ``1 + epsilon - theta
     <= 0`` (cannot happen in the state box; guards against numerical drift).
     """
-    cap = 1.0 + p.epsilon - s.theta
-    bad = cap <= 0.0
-    if bad is not False and np.any(bad):  # float states test one bool
-        t_bad, cap_bad = forcing.first_offender(bad, t, cap)
-        raise ValueError(f"volume capacity 1+epsilon-theta={cap_bad} <= 0 at t={t_bad}")
+    cap = forcing.positive(1.0 + p.epsilon - s.theta, t,
+                           "volume capacity 1+epsilon-theta={value} <= 0 at t={t}")
     a = forcing.inhibition_forcing(t, p, coef.q1)
     w = forcing.inhibition_weight(t, p, coef.u_space)
     dtheta = a * (1.0 - w * s.theta)
@@ -167,11 +164,8 @@ def growth_saturation(t: Value, theta_hat: Value, v_hat: Value,
     Zero exactly at the volume equilibrium, on floats or fields; raises
     ``ValueError`` naming the first sample where ``1 + epsilon - theta_hat <= 0``.
     """
-    cap = 1.0 + p.epsilon - theta_hat
-    bad = cap <= 0.0
-    if bad is not False and np.any(bad):  # float states test one bool
-        t_bad, cap_bad = forcing.first_offender(bad, t, cap)
-        raise ValueError(f"1+epsilon-theta_hat={cap_bad} <= 0 at t={t_bad}")
+    cap = forcing.positive(1.0 + p.epsilon - theta_hat, t,
+                           "1+epsilon-theta_hat={value} <= 0 at t={t}")
     return 1.0 - v_hat / (cap * forcing.volume_capacity(t, p) * p.v_max)
 
 

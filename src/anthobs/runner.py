@@ -13,13 +13,13 @@ diagnostics, the same way for both models.  The volume sensitivity of the
 ``k1 > 0`` members of a spatial group comes from one truth-only run stepped
 block by block beside the group, so no field of it outlives its block.
 
-Each scenario writes one directory containing a configuration snapshot
-(``config.txt``), the recorded time series (``series.csv``, 9 significant
-digits), a key-value run summary (``record.txt``) and two SVG plots.  The
-verdicts in the summary are recomputable from the CSV and snapshot alone:
-:func:`check_artifacts` replays them and reports any divergence, though a
-forgery that agrees with itself and keeps the first row passes, since it
-re-runs nothing.
+Each scenario writes one directory ``<out>/<label>`` (see :func:`_finish`):
+a configuration snapshot (``config.txt``), the recorded time series
+(``series.csv``, 9 significant digits), two SVG plots and, written last, a
+key-value run summary (``record.txt``).  The verdicts in the summary are
+recomputable from the CSV and snapshot alone: :func:`check_artifacts`
+replays them and reports any divergence, though a forgery that agrees with
+itself and keeps the first row passes, since it re-runs nothing.
 
 CSV schemas
 -----------
@@ -46,7 +46,7 @@ from . import config as configmod
 from . import metrics, ode, pde, svgplot
 from .fileio import write_atomic
 from .params import ParameterSet, SpatialParameterSet
-from .stepping import check_run, record_blocks, simulate, step_count
+from .stepping import OVERSHOOT_LIMIT, check_run, record_blocks, simulate, step_count
 from .systems import COMPONENTS, SpatialSystem, WithinHostSystem, check_inputs, state_box
 
 __all__ = [
@@ -88,6 +88,8 @@ PLOTS = {
                                      ("estimate", "estimate", "theta_hat")]),
     "error": ("relative absolute error", [("relative error", "rel. error", "rel_err")]),
 }
+#: The files of a scenario directory; ``record.txt``, written last, commits it.
+FILES = ("record.txt", "series.csv", "config.txt", *(f"{kind}.svg" for kind in PLOTS))
 
 #: Perturbation of theta(0) used for the paired-run volume sensitivity.
 SENSITIVITY_DELTA = 1e-4
@@ -116,6 +118,7 @@ class Scenario:
 
     @property
     def label(self) -> str:
+        """The directory name: the span is named unless it is ``[0, 1]``."""
         bits = [self.model, f"th{self.theta0:g}", f"v{self.v0:g}",
                 f"rho{self.rho0:g}", f"k1_{self.k1:g}", f"k2_{self.k2:g}"]
         if self.measurement != "exact":
@@ -124,6 +127,8 @@ class Scenario:
             bits.append(self.scheme)
         if self.model == "pde":
             bits.append(f"{self.dim}d{self.n}")
+        if (self.t0, self.t1) != (0.0, 1.0):
+            bits.append(f"t{self.t0:g}-{self.t1:g}")
         return "_".join(bits)
 
 
@@ -351,8 +356,8 @@ def run_scenario(s: Scenario, p: ParameterSet,
 
     Failures (overshoot, instability, non-finite states) are captured in the
     record with ``status="failed"`` and the error line, so a sweep can
-    continue; a failed run's directory holds only ``record.txt``, since the
-    artifacts of an earlier run of the same label are removed.
+    continue; a failed run's directory holds only ``record.txt``, since
+    :func:`_finish` removes the files of an earlier run of the same label.
     """
     return _run_group([s], p, sp, out_dir)[0]
 
@@ -415,20 +420,12 @@ def _run_group(group: list[Scenario], p: ParameterSet, sp: SpatialParameterSet |
             for j, s in enumerate(group)]
 
 
-def _scenario_dir(s: Scenario, out_dir) -> Path | None:
-    if out_dir is None:
-        return None
-    directory = Path(out_dir) / s.label
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def _conclude(s: Scenario, system, overshoot: dict, out_dir, t_start: float,
               folded: _Folded) -> RunRecord:
     """Derive the verdicts of scenario ``s``, a member of a run of ``system``
     with the overshoot maxima ``overshoot``, from the rows and condition
-    report that ``folded`` took from every block of its records, and write
-    its directory: the artifacts, or only the record of the failure that the
+    report that ``folded`` took from every block of its records; its directory
+    holds the artifacts, or only the record of the failure that the
     diagnostics or the verdicts raised."""
     p_run, columns = folded.p_run, folded.columns
     sp_run = system.sp and dataclasses.replace(system.sp, base=p_run)
@@ -439,34 +436,40 @@ def _conclude(s: Scenario, system, overshoot: dict, out_dir, t_start: float,
     except Exception as exc:  # recorded, the sweep goes on
         return _failed(s, out_dir, t_start, exc)
 
-    directory = _scenario_dir(s, out_dir)
     record = RunRecord(
         scenario=s, status="ok", error=None, wall_clock_s=time.perf_counter() - t_start,
         overshoot=overshoot, final_abs_err=final_abs_err, final_rel_err=final_rel_err,
-        checks=checks, condition=_condition_summary(report),
-        out_dir=str(directory) if directory else None)
-    if directory is not None:
+        checks=checks, condition=_condition_summary(report), out_dir=None)
+
+    def artifacts(directory: Path) -> None:  # emit_plot reads the CSV
+        _write_csv(directory / "series.csv", columns, rows)
         write_atomic(directory / "config.txt",
                      configmod.write_config(p_run, sp_run, scenarios=[s]))
-        _write_csv(directory / "series.csv", columns, rows)
-        _write_record(directory / "record.txt", record)
         for kind in PLOTS:
             emit_plot(directory, kind)
-    return record
+    return _finish(record, out_dir, artifacts)
 
 
 def _failed(s: Scenario, out_dir, t_start: float, exc: Exception) -> RunRecord:
-    """The record of scenario ``s`` failed with ``exc``; its directory keeps
-    only that record."""
-    directory = _scenario_dir(s, out_dir)
-    record = RunRecord(
+    """The record of scenario ``s`` failed with ``exc``; its directory holds only that record."""
+    return _finish(RunRecord(
         scenario=s, status="failed", error=f"{type(exc).__name__}: {exc}",
         wall_clock_s=time.perf_counter() - t_start, overshoot={},
-        final_abs_err=None, final_rel_err=None, checks={}, condition={},
-        out_dir=str(directory) if directory else None)
-    if directory is not None:
-        for name in ("config.txt", "series.csv", *(f"{kind}.svg" for kind in PLOTS)):
+        final_abs_err=None, final_rel_err=None, checks={}, condition={}, out_dir=None),
+        out_dir)
+
+
+def _finish(record: RunRecord, out_dir, artifacts=None) -> RunRecord:
+    """Write the directory of ``record`` below ``out_dir``, if any: remove its ``FILES``,
+    ``record.txt`` first; ``artifacts(directory)`` writes the rest; ``record.txt`` last."""
+    if out_dir is not None:
+        directory = Path(out_dir) / record.scenario.label
+        directory.mkdir(parents=True, exist_ok=True)
+        for name in FILES:
             (directory / name).unlink(missing_ok=True)
+        if artifacts is not None:
+            artifacts(directory)
+        record.out_dir = str(directory)
         _write_record(directory / "record.txt", record)
     return record
 
@@ -535,8 +538,9 @@ def sweep(kind: str, p: ParameterSet | None = None,
     repeated = [lab for lab, n in collections.Counter(s.label for s in scenarios).items() if n > 1]
     if repeated:
         raise ValueError(f"scenario label {repeated[0]!r} names more than one scenario")
-    if out_dir is not None:
+    if out_dir is not None:  # a killed sweep leaves no manifest of an earlier one
         Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / "manifest.txt").unlink(missing_ok=True)
     groups = _groups(scenarios)
     jobs = (groups, itertools.repeat(p), itertools.repeat(sp), itertools.repeat(out_dir))
     if workers > 1 and len(groups) > 1:
@@ -632,13 +636,16 @@ def _check_one_dir(directory: Path) -> list[str]:
                 problems.append(f"{directory}: columns {', '.join(chain)} not ordered")
 
     numbers = {}
-    for key in ("cond_alpha_inf", "final_abs_err", "final_rel_err"):
+    overshoot = [f"overshoot_{name}" for name in COMPONENTS]
+    for key in ("cond_alpha_inf", "final_abs_err", "final_rel_err", *overshoot):
         if key not in rec:
             return problems + [f"{directory}: {rec_path.name}: no {key}"]
         try:
             numbers[key] = float(rec[key])
         except ValueError:
             return problems + [f"{directory}: {rec_path.name}: {key} = {rec[key]!r} is not a number"]
+    problems += [f"{directory}: {key} = {rec[key]} leaves [0, {OVERSHOOT_LIMIT:g}]"
+                 for key in overshoot if not 0.0 <= numbers[key] <= OVERSHOOT_LIMIT]
     try:
         checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"], nine_digit_slack)
     except ValueError as exc:  # a table or record no run writes
@@ -658,18 +665,18 @@ def _check_one_dir(directory: Path) -> list[str]:
 def _sweeps(run_dir: Path):
     """Yield ``(sweep root, scenario directories)``: ``(None, [run_dir])`` when
     ``run_dir`` is one scenario, else ``run_dir`` with its subdirectories that
-    are scenarios, then the same for every subdirectory that holds a
-    ``manifest.txt`` (such as the ``<out>/<kind>`` sweeps of ``anthobs run``).
-    A scenario directory holds a ``series.csv`` or, after a failed run, only a
-    ``record.txt``."""
+    are scenarios, then the same for every other subdirectory (such as the
+    ``<out>/<kind>`` sweeps of ``anthobs run``, whose manifest a killed sweep
+    leaves out).  A scenario directory holds a ``series.csv`` or, after a
+    failed run, only a ``record.txt``."""
     scenario = lambda d: (d / "series.csv").exists() or (d / "record.txt").exists()
     if scenario(run_dir):
         yield None, [run_dir]
         return
-    subdirs = sorted(run_dir.iterdir())
+    subdirs = sorted(d for d in run_dir.iterdir() if d.is_dir())
     yield run_dir, [d for d in subdirs if scenario(d)]
     for d in subdirs:
-        if (d / "manifest.txt").exists():
+        if not scenario(d):
             yield from _sweeps(d)
 
 
@@ -687,14 +694,14 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     ``manifest.txt``, when present, must list every checked directory, and
     every scenario as ``label ok`` with a checked directory; any other entry
     or directory is a problem of ``<root>/<label>``, and a line of any other
-    shape is a problem of the manifest.  Every subdirectory that holds a
-    ``manifest.txt`` is checked as a sweep root too.  A damaged snapshot or
+    shape is a problem of the manifest.  Every subdirectory that is not a
+    scenario is checked as a sweep root too.  A damaged snapshot or
     CSV is a problem of its directory.  A clean result is an empty list.
     Pure function of the on-disk artifacts: each time must be its record
     time of the snapshot's span, the first row the observer's initial state,
-    and the verdicts and final errors must replay from the CSV, but nothing is
-    re-run, so later states forged to agree with the error columns and the
-    record pass.
+    each recorded overshoot in ``[0, OVERSHOOT_LIMIT]``, and the verdicts and
+    final errors must replay from the CSV, but nothing is re-run, so later
+    states forged to agree with the error columns and the record pass.
     """
     run_dir = Path(run_dir)
     if not run_dir.exists():
@@ -728,8 +735,8 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     return problems
 
 
-def emit_plot(run_dir: str | Path, kind: str, path: str | Path | None = None) -> Path:
-    """Render the ``estimate`` or ``error`` plot of a scenario artifact to SVG."""
+def emit_plot(run_dir: str | Path, kind: str) -> Path:
+    """Render the ``estimate`` or ``error`` plot of a scenario directory to ``<kind>.svg``."""
     if kind not in PLOTS:
         raise ValueError(f"unknown plot kind {kind!r}")
     run_dir = Path(run_dir)
@@ -741,6 +748,6 @@ def emit_plot(run_dir: str | Path, kind: str, path: str | Path | None = None) ->
     else:  # spatial: the min/mean/max of each quantity
         series = [(f"{short} {agg}", col[f"{name}_{agg}"])
                   for _, short, name in curves for agg in ("min", "mean", "max")]
-    out = Path(path) if path else run_dir / f"{kind}.svg"
+    out = run_dir / f"{kind}.svg"
     svgplot.line_plot(out, col["t"], series, run_dir.name, "t (fraction of the year)", ylabel)
     return out

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -784,7 +785,7 @@ class TestSweepAndCheck:
 
     def test_colliding_labels_rejected_before_any_run(self, p, tmp_path, fast_scenarios):
         first = fast_scenarios[0]
-        twin = replace(first, t1=2 * first.t1)
+        twin = replace(first, theta0=first.theta0 + 1e-7)  # the same to 6 digits
         assert twin.label == first.label
         with pytest.raises(ValueError, match=re.escape(first.label)):
             runner.sweep("custom", p, out_dir=tmp_path / "out", scenarios=[first, twin])
@@ -844,6 +845,40 @@ class TestSweepAndCheck:
             self._edit_csv(directory / "series.csv", column, row,
                            lambda x: f"{x + sign * shift:.9g}")
             assert runner.check_artifacts(directory) != []
+
+    @pytest.mark.parametrize("line, problem", [
+        ("overshoot_theta = 0.5", "overshoot_theta = 0.5 leaves [0, 1e-06]"),
+        ("overshoot_v_hat = -1e-09", "overshoot_v_hat = -1e-09 leaves [0, 1e-06]"),
+        ("overshoot_rho = nan", "overshoot_rho = nan leaves [0, 1e-06]"),
+        ("overshoot_v", "record.txt: no overshoot_v"),  # the line deleted
+        ("overshoot_theta_hat = 1e-06", None),  # the limit itself is admitted
+    ])
+    def test_recorded_overshoot_is_checked(self, tamper_sweep, tmp_path, line, problem):
+        label = sorted(TAMPER_SWEEP)[0]
+        directory = tmp_path / label
+        shutil.copytree(tamper_sweep / label, directory)
+        rec = directory / "record.txt"
+        key = line.split(" = ")[0]
+        kept = [x for x in rec.read_text().splitlines() if not x.startswith(f"{key} = ")]
+        rec.write_text("\n".join(kept + ([line] if " = " in line else [])) + "\n")
+        assert runner.check_artifacts(directory) == ([f"{directory}: {problem}"] if problem else [])
+
+    def test_two_spans_of_one_state_sweep_apart(self, p, tmp_path):
+        # one state over [0, 0.01] and over [0.3, 0.31]: a label per span
+        spans = [runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0, t1=0.01),
+                 runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0, t0=0.3, t1=0.31)]
+        records = runner.sweep("custom", p, out_dir=tmp_path, scenarios=spans)
+        assert [r.status for r in records] == ["ok", "ok"]
+        assert sorted(d.name for d in tmp_path.iterdir()) == [
+            "manifest.txt", "ode_th0.5_v0.5_rho0.25_k1_0_k2_0_t0-0.01",
+            "ode_th0.5_v0.5_rho0.25_k1_0_k2_0_t0.3-0.31"]
+        assert runner.check_artifacts(tmp_path) == []
+        # a run of the other span copied into a directory is not its own
+        first, second = (tmp_path / s.label for s in spans)
+        shutil.rmtree(first)
+        shutil.copytree(second, first)
+        assert runner.check_artifacts(tmp_path) == [
+            f"{first}: config snapshot describes scenario {spans[1].label}"]
 
 
 #: The initial triples of the reference within-host study, and short spans.
@@ -1274,6 +1309,99 @@ class TestAtomicWrites:
         assert target.read_text() == "a ok\n"
 
 
+#: Two runs of one group: no envelope check replays the snapshot's forcing for
+#: the first, so a stale series of it agrees with a new snapshot.
+KILL_SWEEP = [runner.make_scenario(ParameterSet(), "ode", 0.75, 0.5, 0.5, k1, k2, t1=0.02)
+              for k1, k2 in ((1e3, 0.0), (0.0, 0.0))]
+
+
+def _kill_writes(monkeypatch, before=None, after=None) -> None:
+    """Make the artifact writes, through ``runner`` and through ``svgplot`` for
+    the SVGs, raise ``KeyboardInterrupt`` as a killed run stops: before the
+    ``before``-th write (from 1), or right after writing a file named ``after``."""
+    count = itertools.count(1)
+
+    def write(path, text):
+        if next(count) == before:
+            raise KeyboardInterrupt
+        write_atomic(path, text)
+        if Path(path).name == after:
+            raise KeyboardInterrupt
+    monkeypatch.setattr(runner, "write_atomic", write)
+    monkeypatch.setattr(svgplot, "write_atomic", write)
+
+
+class TestKilledRuns:
+    """A re-run into a swept root that is killed part way leaves no directory
+    that ``check`` passes unless it is a whole run of its own snapshot."""
+
+    @pytest.mark.parametrize("after", ["config.txt", "estimate.svg"])
+    def test_a_killed_rerun_fails_check(self, p, tmp_path, monkeypatch, after):
+        # killed with its new snapshot written, or during the plots
+        s = KILL_SWEEP[0]
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=[s])
+        _kill_writes(monkeypatch, after=after)
+        with pytest.raises(KeyboardInterrupt):
+            runner.sweep("custom", replace(p, b1=1.5 * p.b1), out_dir=tmp_path, scenarios=[s])
+        assert runner.check_artifacts(tmp_path) == [f"{tmp_path / s.label}: missing record.txt"]
+
+    def test_a_rerun_killed_at_any_write_leaves_no_valid_mix(self, p, tmp_path, monkeypatch):
+        fresh = {}  # the artifacts of a lone run, by its snapshot
+
+        def fresh_artifacts(directory: Path) -> dict[str, bytes]:
+            snapshot = (directory / "config.txt").read_text()
+            if snapshot not in fresh:
+                loaded = load_config(directory / "config.txt")
+                out = tmp_path / f"fresh{len(fresh)}"
+                rec = runner.run_scenario(loaded.scenarios[0], loaded.params, loaded.spatial, out)
+                fresh[snapshot] = _artifacts(Path(rec.out_dir))
+            return fresh[snapshot]
+
+        writes = len(KILL_SWEEP) * len(runner.FILES) + 1  # and the manifest
+        for k in range(1, writes + 2):  # the last re-run is not killed
+            root = tmp_path / f"kill{k}"
+            runner.sweep("custom", p, out_dir=root, scenarios=KILL_SWEEP)
+            with monkeypatch.context() as m:
+                _kill_writes(m, before=k)
+                try:
+                    runner.sweep("custom", replace(p, b1=1.5 * p.b1), out_dir=root,
+                                 scenarios=KILL_SWEEP)
+                    killed = False
+                except KeyboardInterrupt:
+                    killed = True
+            assert killed == (k <= writes)
+            if runner.check_artifacts(root) == []:
+                for d in runner.scenario_dirs(root):
+                    assert _artifacts(d) == fresh_artifacts(d), (k, d.name)
+
+    def test_a_killed_sweep_leaves_no_manifest(self, p, tmp_path, monkeypatch, fast_scenarios):
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios)
+        run_group, calls = runner._run_group, itertools.count(1)
+
+        def killed_at_the_second_group(*args):
+            if next(calls) == 2:
+                raise KeyboardInterrupt
+            return run_group(*args)
+        monkeypatch.setattr(runner, "_run_group", killed_at_the_second_group)
+        with pytest.raises(KeyboardInterrupt):
+            runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios)
+        assert not (tmp_path / "manifest.txt").exists()
+
+    def test_a_killed_nested_sweep_fails_the_check_of_its_parent(self, p, tmp_path,
+                                                                  monkeypatch, fast_scenarios):
+        # the layout of `anthobs run`: a custom run at the root, a sweep below
+        # it, which is re-run and killed in its second directory without its
+        # manifest
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios[:1])
+        nested = tmp_path / "paper-ode"
+        runner.sweep("custom", p, out_dir=nested, scenarios=KILL_SWEEP)
+        _kill_writes(monkeypatch, before=len(runner.FILES) + 2)
+        with pytest.raises(KeyboardInterrupt):
+            runner.sweep("custom", p, out_dir=nested, scenarios=KILL_SWEEP)
+        assert runner.check_artifacts(tmp_path) == [
+            f"{nested / KILL_SWEEP[1].label}: missing record.txt"]
+
+
 def _reference_line_plot(path, x, series, title, xlabel, ylabel) -> None:
     """``svgplot.line_plot`` as it formatted each point with its own f-string."""
     from anthobs.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
@@ -1494,8 +1622,8 @@ class TestCli:
     def test_run_rejects_colliding_labels(self, tmp_path, capsys):
         cfg = tmp_path / "twins.cfg"
         cfg.write_text(
-            "scenario = ode theta0=0.75 v0=0.5 rho0=0.25 t1=0.01\n"
-            "scenario = ode theta0=0.75 v0=0.5 rho0=0.25 t1=0.02\n")
+            "scenario = ode theta0=0.75 v0=0.5 rho0=0.25\n"
+            "scenario = ode theta0=0.7500001 v0=0.5 rho0=0.25\n")
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
         assert "ode_th0.75_v0.5_rho0.25_k1_0_k2_0" in capsys.readouterr().err
 
@@ -1587,4 +1715,5 @@ def test_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert sorted(d.name for d in tmp_path.iterdir()) == [
-        "manifest.txt", "ode_th0.75_v0.5_rho0.25_k1_0_k2_0", "pde_th0.5_v0.5_rho0.5_k1_0_k2_0_1d4"]
+        "manifest.txt", "ode_th0.75_v0.5_rho0.25_k1_0_k2_0_t0-0.02",
+        "pde_th0.5_v0.5_rho0.5_k1_0_k2_0_1d4_t0-0.01"]
