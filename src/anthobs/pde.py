@@ -35,8 +35,8 @@ __all__ = [
 
 #: Samples (records x cells) per block of the spatial condition diagnostics,
 #: and per member in a block of the records a run hands to the runner; each
-#: block temporary takes 256 KiB.
-BLOCK_SAMPLES = 2 ** 15
+#: block temporary takes 64 KiB.
+BLOCK_SAMPLES = 2 ** 13
 
 
 @dataclass(frozen=True)

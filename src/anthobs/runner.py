@@ -36,7 +36,6 @@ import dataclasses
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -524,9 +523,10 @@ def sweep(kind: str, p: ParameterSet | None = None,
     """Run a scenario matrix (or an explicit scenario list) into ``out_dir``.
 
     Each group of :func:`_groups` is stepped as one system
-    (:func:`_run_group`), with ``workers > 1`` in a process pool.  Every
-    scenario owns its output directory and writes what its lone run writes,
-    so results are identical to a serial run of :func:`run_scenario`.
+    (:func:`_run_group`), with ``workers > 1`` in a process pool, imported
+    only then.  Every scenario owns its output directory and writes what its
+    lone run writes, so results are identical to a serial run of
+    :func:`run_scenario`.
     Raises ``ValueError`` before any run when ``workers < 1``, or when two
     scenarios share a label, since they would write into the same directory.
     """
@@ -544,6 +544,8 @@ def sweep(kind: str, p: ParameterSet | None = None,
     groups = _groups(scenarios)
     jobs = (groups, itertools.repeat(p), itertools.repeat(sp), itertools.repeat(out_dir))
     if workers > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 2 MB of RSS once imported
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_group, *jobs))
     else:

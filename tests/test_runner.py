@@ -1240,9 +1240,10 @@ class TestSpatialGroups:
     @pytest.mark.parametrize("k1", [0.0, 1e3])
     def test_memory_does_not_grow_with_the_span(self, p, k1):
         # 41 and 401 records: a run keeps one block of records, not all of them,
-        # and with k1 > 0 its sensitivity stream one block of its truths
+        # and with k1 > 0 its sensitivity stream one block of its truths; the
+        # first short sweep leaves out what numpy imports once per process
         peaks = []
-        for t1 in (0.04, 0.4):
+        for t1 in (0.002, 0.04, 0.4):
             scenarios = [runner.make_scenario(p, "pde", th, v0, th, k1, k2, t1=t1)
                          for (th, v0), k2 in (((0.75, 0.5), 0.0), ((0.05, 0.05), 1e3))]
             tracemalloc.start()
@@ -1255,7 +1256,33 @@ class TestSpatialGroups:
         cells = 32 * 32
         # (5 state + 3 measured) fields per member and record
         block = pde.block_records(cells) * 8 * len(scenarios) * cells * 8
-        assert abs(peaks[1] - peaks[0]) < block, peaks
+        assert abs(peaks[2] - peaks[1]) < block, peaks
+
+    def test_peak_memory_is_one_block_of_records_and_small_temporaries(self, p):
+        # four 32x32 members, two with k1 > 0 (two sensitivity states, four
+        # truths), over 101 records: the peak is the record buffers of one
+        # block of the group and its sensitivity stream, plus at most 4 MiB for
+        # the systems, the step temporaries and the fold temporaries of one
+        # member's block
+        cells, t1 = 32 * 32, 0.1
+        group = lambda span: [
+            runner.make_scenario(p, "pde", th, v0, th, k1, k2, t1=span, dim=2, n=32)
+            for (th, v0), (k1, k2) in zip(((0.75, 0.5), (0.05, 0.05), (0.75, 0.05), (0.05, 0.5)),
+                                          ((0.0, 0.0), (0.0, 1e3), (1e3, 0.0), (1e3, 1e3)))]
+        # a first short sweep leaves out what numpy allocates once per process
+        runner.sweep("custom", p, scenarios=group(0.002))
+        tracemalloc.start()
+        try:
+            records = runner.sweep("custom", p, scenarios=group(t1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in records] == ["ok"] * 4
+        n_records = round(t1 / p.dt) // runner.RECORD_STRIDE + 1
+        assert n_records > pde.block_records(cells)
+        # (5 state + 3 measured) fields per member, 3 per sensitivity truth
+        buffers = pde.block_records(cells) * cells * 8 * (8 * 4 + 3 * 4)
+        assert peak < buffers + 4 * 2 ** 20, (peak, buffers)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
@@ -1631,7 +1658,7 @@ class TestCli:
     def test_sweep_rejects_worker_counts_below_one(self, tmp_path, monkeypatch, capsys, workers):
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected sweep started work")
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
         monkeypatch.setattr(runner, "_run_group", refuse)
         message = f"workers={workers} must be >= 1"
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -1706,14 +1733,38 @@ assert cli.main(["validate"]) == 0
 """
 
 
-def test_runs_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: import, sweep, check and validate
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(runner.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: import, sweep, check and validate
+    done = _run_python(NO_SCIPY_RUN, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert sorted(d.name for d in tmp_path.iterdir()) == [
         "manifest.txt", "ode_th0.75_v0.5_rho0.25_k1_0_k2_0_t0-0.02",
         "pde_th0.5_v0.5_rho0.5_k1_0_k2_0_1d4_t0-0.01"]
+
+
+SERIAL_RUN = """
+import sys
+import anthobs
+from anthobs import runner
+assert "concurrent.futures.process" not in sys.modules
+p = anthobs.ParameterSet()
+scenarios = [runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.002),
+             runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.003)]
+assert [r.status for r in runner.sweep("custom", p, scenarios=scenarios)] == ["ok", "ok"]
+assert "concurrent.futures.process" not in sys.modules
+"""
+
+
+def test_serial_sweep_imports_no_process_pool():
+    # the pool's module is imported only by a sweep that starts one: two groups, workers=1
+    done = _run_python(SERIAL_RUN)
+    assert done.returncode == 0, done.stderr

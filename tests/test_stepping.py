@@ -18,6 +18,7 @@ from anthobs import (
     step_rk4,
 )
 from anthobs import stepping
+from anthobs.ode import rot_rate
 from anthobs.stepping import NonFiniteError, OvershootError, cfl_step_limit
 
 
@@ -153,6 +154,20 @@ class TestSimulate:
                 assert float_max == array_max.tolist()
                 y, z = y_new, z_new
             assert min(float_max) > 0.0
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    def test_exact_sensor_reads_the_truths_rot_rate(self, p, scheme):
+        # the exact drho_dt is the rot rate of the recorded truth at every
+        # record, in a lone run and in a batch
+        q = replace(p, k1=1e3, k2=1e3)
+        lone = WithinHostSystem(q, 0.75, 0.5, 0.25)
+        batch = WithinHostSystem(q, [0.75, 0.05, 0.5], [0.5, 0.05, 0.25], [0.25, 0.05, 0.5],
+                                 gains=(np.array([1e3, 0.0, 1e3]), np.array([1e3, 1e3, 0.0])))
+        for system in (lone, batch):
+            traj = simulate(system, 0.0, 0.2, 1e-4, scheme, record_stride=8)
+            assert traj.times[-1] == pytest.approx(0.2)
+            for t, (theta, v, rho), drho in zip(traj.times, traj.truth, traj.measurements[:, 2]):
+                assert np.array_equal(drho, rot_rate(float(t), theta, v, rho, q))
 
     def test_measurement_causality_fd(self, p):
         # backward differencing: the recorded measurement at step n only uses
