@@ -12,7 +12,9 @@ Every function here is pure: no global state, safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -141,14 +143,66 @@ def volume_capacity(t: Value, p: ParameterSet) -> Value:
 # spatial factors
 # ---------------------------------------------------------------------------
 
+_MASK32, _MASK64, _MASK128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` as PCG64 reads it: the
+    initial state and the stream, each from two 64-bit words, high word first."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value = (value ^ const) * (const := const * 0x931E8875 & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(w))
+    state, const = [], 0x8B51F9DD
+    for w in pool * 2:
+        w = (w ^ const) * (const := const * 0x58F38DED & _MASK32) & _MASK32
+        state.append(w ^ w >> 16)
+    u64 = [lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])]  # little-endian
+    return u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+
+
+def _uniform_draws(seed: int, count: int) -> list[float]:
+    """The first ``count`` values of ``np.random.default_rng(seed).random()``."""
+    initstate, initseq = _seed_sequence(seed)
+    inc = (initseq << 1 | 1) & _MASK128
+    # set-seed: one step from state 0, add the initial state, one more step
+    state = ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122  # XSL-RR output
+        out.append((((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0 ** -53)
+    return out
+
+
 def anisotropy_matrix(seed: int, dim: int, scale: float) -> np.ndarray:
     """Random ``dim x dim`` matrix, entries i.i.d. uniform on ``[0, scale)``.
 
     Pure function of ``(seed, dim, scale)``: the same arguments always
-    reproduce the same matrix.
+    reproduce the same matrix, ``scale * np.random.default_rng(seed).random((dim,
+    dim))`` bit for bit.  That PCG64 stream is kept because every spatial
+    artifact and the benchmark reference depend on it; it is re-implemented
+    here so that no run imports ``numpy.random``.  ``ValueError`` for a
+    negative seed.
     """
-    rng = np.random.default_rng(seed)
-    return scale * rng.random((dim, dim))
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"anisotropy seed {seed} must be >= 0")
+    return scale * np.array(_uniform_draws(seed, dim * dim)).reshape(dim, dim)
 
 
 def radial_squared(points: np.ndarray, matrix: np.ndarray, center) -> np.ndarray:

@@ -97,7 +97,10 @@ class SpatialParameterSet:
     The diffusion tensor is isotropic, ``A = diffusivity * I``.  Anisotropy
     matrices for the radial space profiles are drawn uniformly from
     ``[0, anisotropy_scale)`` using ``base.seed`` (control matrix) and
-    ``base.seed + i`` (profile matrix i).  ``spatial_profile = "uniform"``
+    ``base.seed + i`` (profile matrix i), from numpy's PCG64 stream of
+    ``default_rng``, which every spatial artifact and the benchmark reference
+    depend on; :func:`anthobs.forcing.anisotropy_matrix` re-implements it so
+    that no run imports ``numpy.random``.  ``spatial_profile = "uniform"``
     replaces every spatial factor by 1, which reduces each grid cell to the
     within-host model.  The observer gains are the spatially constant
     ``base.k1`` and ``base.k2``.
@@ -146,6 +149,18 @@ def _check_gains(k1: float, k2: float, dt: float) -> list[Violation]:
             top, f"gain cap exceeded: max(k1,k2)={finite[top]} >"
             f" 1/(10*dt)={gain_cap(dt)}", hard=True))
     return out
+
+
+def _check_seed(seed) -> list[Violation]:
+    """The seed rule: an ``int`` that is not a ``bool``, which a configuration
+    snapshot carries, and not negative, since ``seed + i`` draws the anisotropy
+    matrices; the violation, if any."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        return [Violation("seed", f"seed={seed!r} must be an integer", hard=True)]
+    if seed < 0:
+        return [Violation("seed", f"seed={seed} must be >= 0: seed + i draws the"
+                          " anisotropy matrices", hard=True)]
+    return []
 
 
 def _screen(obj, derived=()):
@@ -237,6 +252,8 @@ def validate(p: ParameterSet) -> list[Violation]:
         flag("v_max", f"v_max={p.v_max} must be > 0", hard=True)
     if p.p1_const < 0.0:
         flag("p1_const", f"p1_const={p.p1_const} must be >= 0")
+    for v in _check_seed(p.seed):
+        flag(v.key, v.message, v.hard)
     _check_selector(flag, "p1_mode", p.p1_mode, P1_MODES)
     _check_selector(flag, "p2_mode", p.p2_mode, P2_MODES)
     _check_selector(flag, "eta_mode", p.eta_mode, ETA_MODES)

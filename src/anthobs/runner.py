@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import itertools
 import os
 import time
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as configmod
-from . import metrics, ode, pde, svgplot
+from . import forcing, metrics, ode, pde, svgplot
 from .fileio import write_atomic
 from .params import ParameterSet, SpatialParameterSet
 from .stepping import OVERSHOOT_LIMIT, check_run, record_blocks, simulate, step_count
@@ -603,11 +604,11 @@ def _check_one_dir(directory: Path) -> list[str]:
     # a time written to 9 significant digits is off by at most 5e-9 of itself
     time_slack = 1e-8 * np.max(np.abs(t))
     # the record times of the loop, t0 + k*dt at every RECORD_STRIDE-th step
-    # k, in the same IEEE operations; the count first, so that a forged span
-    # allocates no grid
-    n_rec = step_count(s.t0, s.t1, p.dt) // RECORD_STRIDE + 1
-    if len(t) != n_rec or np.max(np.abs(
-            t - (s.t0 + np.arange(n_rec) * RECORD_STRIDE * p.dt))) > time_slack:
+    # k, in the same IEEE operations, as many as the CSV has rows, so that a
+    # forged span allocates no grid
+    record_t = s.t0 + np.arange(len(t)) * RECORD_STRIDE * p.dt
+    if len(t) != step_count(s.t0, s.t1, p.dt) // RECORD_STRIDE + 1 or np.max(np.abs(
+            t - record_t)) > time_slack:
         problems.append(f"{directory}: time axis is not the records of the snapshot's span")
     # a run records its observer at t0 as theta_hat = 0, and within host v_hat = v
     start = [col[key][0] for key in col if key.startswith("theta_hat")]
@@ -649,9 +650,13 @@ def _check_one_dir(directory: Path) -> list[str]:
     problems += [f"{directory}: {key} = {rec[key]} leaves [0, {OVERSHOOT_LIMIT:g}]"
                  for key in overshoot if not 0.0 <= numbers[key] <= OVERSHOOT_LIMIT]
     try:
-        checks, *finals = _verdicts(s, p, col, numbers["cond_alpha_inf"], nine_digit_slack)
+        alpha_inf = _alpha_inf(s, p, loaded.spatial, record_t)
+        checks, *finals = _verdicts(s, p, col, alpha_inf, nine_digit_slack)
     except ValueError as exc:  # a table or record no run writes
         return problems + [f"{directory}: cannot replay the checks: {exc}"]
+    if not abs(numbers["cond_alpha_inf"] - alpha_inf) <= nine_digit_slack:
+        problems.append(f"{directory}: cond_alpha_inf = {rec['cond_alpha_inf']} does not"
+                        f" match the snapshot's forcing, {alpha_inf!r}")
     for name, verdict in checks.items():
         recorded = rec.get(f"check_{name}")
         if recorded != verdict:
@@ -662,6 +667,29 @@ def _check_one_dir(directory: Path) -> list[str]:
         if not abs(numbers[name] - fresh) <= nine_digit_slack:
             problems.append(f"{directory}: {name} does not match the CSV")
     return problems
+
+
+def _alpha_inf(s: Scenario, p: ParameterSet, sp: SpatialParameterSet, times) -> float:
+    """The ``inf(alpha)`` diagnostic of a run of ``s`` with the record ``times``:
+    the smallest inhibition forcing over the times and the cells.  The forcing
+    is affine in the profile ``q1``, so over the cells it is smallest at the
+    smallest or the largest ``q1``, and no records x cells field is built."""
+    lo = hi = 1.0
+    if s.model == "pde":  # q1 reads only the seed of the base set
+        lo, hi = _q1_range(dataclasses.replace(sp, base=ParameterSet(seed=p.seed)),
+                           pde.Grid(s.dim, s.n))
+    return float(np.min(forcing.inhibition_forcing(times, p, np.array([[lo], [hi]]))))
+
+
+@functools.lru_cache(maxsize=16)
+def _q1_range(sp: SpatialParameterSet, grid: pde.Grid) -> tuple[float, float]:
+    """The smallest and largest value on ``grid`` of the profile ``q1`` that
+    :func:`pde.spatial_coefficients` makes of ``sp``; cached, since every
+    spatial directory of a sweep reads the same one."""
+    if sp.spatial_profile == "uniform":
+        return 1.0, 1.0
+    q1 = forcing.spatial_weight(grid.centers(), 1, sp, grid.dim)
+    return float(q1.min()), float(q1.max())
 
 
 def _sweeps(run_dir: Path):
@@ -701,9 +729,11 @@ def check_artifacts(run_dir: str | Path) -> list[str]:
     CSV is a problem of its directory.  A clean result is an empty list.
     Pure function of the on-disk artifacts: each time must be its record
     time of the snapshot's span, the first row the observer's initial state,
-    each recorded overshoot in ``[0, OVERSHOOT_LIMIT]``, and the verdicts and
-    final errors must replay from the CSV, but nothing is re-run, so later
-    states forged to agree with the error columns and the record pass.
+    each recorded overshoot in ``[0, OVERSHOOT_LIMIT]``, ``cond_alpha_inf``
+    its recomputation from the snapshot (:func:`_alpha_inf`), and the verdicts,
+    with that value, and the final errors must replay from the CSV; but nothing
+    is re-run, so later states forged to agree with the error columns and the
+    record pass.
     """
     run_dir = Path(run_dir)
     if not run_dir.exists():

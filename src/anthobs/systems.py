@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import ode, pde
-from .params import ParameterSet, SpatialParameterSet
+from .params import ParameterSet, SpatialParameterSet, _check_seed
 from .stepping import cfl_step_limit, members
 
 __all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES", "check_inputs",
@@ -43,7 +43,11 @@ def state_box(p: ParameterSet) -> tuple[np.ndarray, np.ndarray]:
 
 def check_inputs(p: ParameterSet, theta0: float, v0: float, rho0: float,
                  measurement_mode: str) -> None:
-    """Reject an unknown measurement mode or an initial state outside the box."""
+    """Reject a seed that breaks the seed rule of :mod:`anthobs.params`, an unknown
+    measurement mode or an initial state outside the box."""
+    seed = _check_seed(p.seed)
+    if seed:
+        raise ValueError(seed[0].message)
     if measurement_mode not in MEASUREMENT_MODES:
         raise ValueError(f"unknown measurement mode {measurement_mode!r}")
     for name, x, lo, hi in zip(("theta0", "v0", "rho0"), (theta0, v0, rho0), *state_box(p)):

@@ -232,6 +232,26 @@ class TestAnisotropy:
         assert not np.array_equal(F.anisotropy_matrix(1, 3, 5.0),
                                   F.anisotropy_matrix(2, 3, 5.0))
 
+    @pytest.mark.parametrize("seed", [0, 42, 43, 44, 45, 2015, 31337, 2**32 - 1, 2**32,
+                                      2**64 + 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_numpy_stream_bit_for_bit(self, seed, dim):
+        # numpy's default_rng stream in C order; a seed of 2**32 and above
+        # hashes more than one 32-bit word into the generator's state
+        m = F.anisotropy_matrix(seed, dim, 5.0)
+        expected = np.random.default_rng(seed).random((dim, dim)) * 5.0
+        assert m.shape == expected.shape and m.tobytes() == expected.tobytes()
+
+    @given(seed=st.integers(min_value=0, max_value=2**128 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_stream_of_any_seed(self, seed):
+        m = F.anisotropy_matrix(seed, 2, 5.0)
+        assert m.tobytes() == (np.random.default_rng(seed).random((2, 2)) * 5.0).tobytes()
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"^anisotropy seed -1 must be >= 0$"):
+            F.anisotropy_matrix(-1, 2, 5.0)
+
 
 class TestSpatialWeight:
     def test_value_at_center(self, sp):
@@ -323,6 +343,18 @@ class TestValidate:
     def test_spatial_gain_cap(self, p):
         sp_bad = SpatialParameterSet(base=replace(p, k2=2e3))
         assert any("gain cap" in v.message for v in validate_spatial(sp_bad))
+
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed=True must be an integer"),
+        (42.0, "seed=42.0 must be an integer"),
+        (math.nan, "seed=nan must be finite"),
+        (-1, "seed=-1 must be >= 0: seed + i draws the anisotropy matrices"),
+    ])
+    def test_seed_rule_is_hard(self, p, seed, message):
+        # a snapshot cannot carry the first three, and the last cannot draw
+        for violations in (validate(replace(p, seed=seed)),
+                           validate_spatial(SpatialParameterSet(base=replace(p, seed=seed)))):
+            assert [(v.key, v.message, v.hard) for v in violations] == [("seed", message, True)]
 
     def test_negative_diffusivity(self, p):
         sp_bad = SpatialParameterSet(base=p, diffusivity=-1.0)

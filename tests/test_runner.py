@@ -226,6 +226,29 @@ class TestInputValidation:
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
 
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed=True must be an integer"),
+        (42.0, "seed=42.0 must be an integer"),
+        (-1, "seed=-1 must be >= 0"),
+    ])
+    def test_seed_rule_everywhere(self, p, tmp_path, seed, message):
+        # no run writes a snapshot whose seed the loader refuses, in either model
+        bad = replace(p, seed=seed)
+        builders = [
+            lambda: runner.make_scenario(bad, "ode", 0.5, 0.5, 0.25, 0.0, 0.0),
+            lambda: WithinHostSystem(bad, 0.5, 0.5, 0.25),
+            lambda: SpatialSystem(SpatialParameterSet(base=bad), Grid(1, 4), 0.5, 0.5, 0.5),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+        scenarios = [runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.002),
+                     runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, 0.0, 0.0, t1=0.002,
+                                          dim=1, n=4)]
+        records = runner.sweep("custom", bad, out_dir=tmp_path, scenarios=scenarios)
+        assert [r.status for r in records] == ["failed", "failed"]
+        assert all(message in r.error for r in records)
+
     def test_unknown_scheme(self, p):
         with pytest.raises(ValueError, match="scheme"):
             runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0, scheme="leapfrog")
@@ -662,10 +685,10 @@ class TestSweepAndCheck:
             lines[3:5] = [",".join(row) for row in rows]
             (d / "series.csv").write_text("\n".join(lines) + "\n")
             reason = "times must be nonnegative and strictly increasing"
-        else:  # an alpha infimum below zero
-            rec = d / "record.txt"
-            rec.write_text(re.sub(r"^cond_alpha_inf = .*$", "cond_alpha_inf = -1",
-                                  rec.read_text(), flags=re.M))
+        else:  # a baseline forcing that takes the alpha infimum below zero
+            cfg = d / "config.txt"
+            text = re.sub(r"^p1_mode = .*$", "p1_mode = constant", cfg.read_text(), flags=re.M)
+            cfg.write_text(re.sub(r"^p1_const = .*$", "p1_const = -1.0", text, flags=re.M))
             reason = "inf_alpha=-1.0 must be >= 0"
         checked = []
         check_one = runner._check_one_dir
@@ -738,6 +761,31 @@ class TestSweepAndCheck:
                 self._edit_csv(csv, "t", row, edit)
         assert runner.check_artifacts(tmp_path) == [
             f"{csv.parent}: time axis is not the records of the snapshot's span"]
+
+    @pytest.mark.parametrize("model,profile", [("ode", "radial"), ("pde", "radial"),
+                                               ("pde", "uniform")])
+    def test_lowered_alpha_inf_fails_check(self, p, tmp_path, model, profile):
+        # with a constant baseline p1 the alpha infimum is positive, and a lower
+        # one would weaken the replayed L2 envelope of a gain-free spatial run
+        p_const = replace(p, p1_mode="constant", p1_const=2.0)
+        grid = {"dim": 2, "n": 8} if model == "pde" else {}
+        s = runner.make_scenario(p_const, model, 0.5, 0.5, 0.5 if model == "pde" else 0.25,
+                                 0.0, 0.0, t1=0.01, **grid)
+        runner.sweep("custom", p_const, SpatialParameterSet(spatial_profile=profile),
+                     out_dir=tmp_path, scenarios=[s])
+        assert runner.check_artifacts(tmp_path) == []
+        rec = tmp_path / s.label / "record.txt"
+        text = rec.read_text()
+        recorded = float(re.search(r"^cond_alpha_inf = (.*)$", text, flags=re.M)[1])
+        assert recorded >= 2.0
+        for lowered in (recorded - 1e-6, 0.0):
+            rec.write_text(re.sub(r"^cond_alpha_inf = .*$", f"cond_alpha_inf = {lowered!r}",
+                                  text, flags=re.M))
+            # the message names the recomputed value: it equals the recorded one
+            assert runner.check_artifacts(tmp_path) == [
+                f"{rec.parent}: cond_alpha_inf = {lowered!r} does not match the"
+                f" snapshot's forcing, {recorded!r}"]
+        assert main(["check", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("key", ["cond_alpha_inf", "final_rel_err"])
     def test_record_value_missing_reported(self, p, tmp_path, fast_scenarios, key):
@@ -1767,4 +1815,24 @@ assert "concurrent.futures.process" not in sys.modules
 def test_serial_sweep_imports_no_process_pool():
     # the pool's module is imported only by a sweep that starts one: two groups, workers=1
     done = _run_python(SERIAL_RUN)
+    assert done.returncode == 0, done.stderr
+
+
+SPATIAL_RUN = """
+import sys
+import anthobs
+from anthobs import runner
+p = anthobs.ParameterSet()
+scenarios = [runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, k1, 0.0, t1=0.002, dim=2, n=8)
+             for k1 in (0.0, 1e3)]
+records = runner.sweep("custom", p, out_dir=sys.argv[1], scenarios=scenarios)
+assert [r.status for r in records] == ["ok", "ok"]
+assert runner.check_artifacts(sys.argv[1]) == []
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_spatial_sweep_imports_no_numpy_random(tmp_path):
+    # the anisotropy matrices come from forcing's own draw of numpy's stream
+    done = _run_python(SPATIAL_RUN, str(tmp_path))
     assert done.returncode == 0, done.stderr
