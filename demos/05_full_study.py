@@ -8,8 +8,8 @@ the end-of-year error table grouped the way the study's figures are.
 The within-host runs of the matrix share scheme, sensor and span, so the
 sweep steps them together as one batch.  The spatial matrix works the same
 way but takes longer; run it with ``anthobs sweep paper-pde -o runs``.  Its
-16 scenarios share grid and numerics, so they form one group, which
-``--workers`` does not split: a process pool runs only separate groups.
+16 scenarios share grid and numerics, so they form one group; ``anthobs
+sweep`` takes no ``--workers``, since a process pool runs only separate groups.
 
 Run:  python demos/05_full_study.py [output-dir]
 """

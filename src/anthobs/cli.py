@@ -23,10 +23,6 @@ from .params import validate_spatial
 
 __all__ = ["main"]
 
-WORKERS_HELP = ("processes that run the sweep's groups: the scenarios that share model,"
-                " scheme, sensor and span, and for spatial ones the grid, form one group"
-                " (paper-pde is one group, which workers do not split)")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="anthobs", description=__doc__,
@@ -39,13 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the scenarios of a configuration")
     p_run.add_argument("config")
     p_run.add_argument("-o", "--out", help="output directory root")
-    p_run.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="processes that run the configuration's groups: the scenarios"
+                       " that share model, scheme, sensor and span, and for spatial ones"
+                       " the grid, form one group (a paper sweep is one group)")
 
     p_sweep = sub.add_parser("sweep", help="run a reference study matrix")
     p_sweep.add_argument("kind", choices=["paper-ode", "paper-pde"])
     p_sweep.add_argument("--config", help="optional config overriding parameters")
     p_sweep.add_argument("-o", "--out", help="output directory root")
-    p_sweep.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_check = sub.add_parser("check", help="re-verify stored run artifacts")
     p_check.add_argument("run_dir")
@@ -112,8 +110,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config)
     out = runner.output_root(args.out) / args.kind
-    records = runner.sweep(args.kind, cfg.params, cfg.spatial, out,
-                           workers=args.workers)
+    records = runner.sweep(args.kind, cfg.params, cfg.spatial, out)
     status = _summarise(records)
     print(f"wrote {len(records)} runs under {out}")
     return status

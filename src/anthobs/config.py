@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from .params import ParameterSet, SpatialParameterSet, validate, validate_spatial
+from .params import ParameterSet, SpatialParameterSet, admit
 
 __all__ = ["ConfigError", "LoadedConfig", "load_config", "load_config_text",
            "write_config", "scenario_line"]
@@ -80,8 +80,9 @@ def load_config_text(text: str, strict: bool = True) -> LoadedConfig:
 
     Raises :class:`ConfigError` on unknown keys or malformed values, and
     (when ``strict``) on hard hypothesis violations such as an exceeded gain
-    cap.  ``strict=False`` defers hypothesis judgement to the caller, which
-    lets the ``validate`` command enumerate every violation.
+    cap (:func:`anthobs.params.admit`).  ``strict=False`` defers hypothesis
+    judgement to the caller, which lets the ``validate`` command enumerate every
+    violation; the scenario lines are still checked, against the set as given.
     """
     from . import runner  # Scenario lives with the execution machinery
 
@@ -122,10 +123,10 @@ def load_config_text(text: str, strict: bool = True) -> LoadedConfig:
         raise ConfigError(f"invalid parameter combination: {exc}")
 
     if strict:
-        hard = [v for v in validate_spatial(spatial) if v.hard]
-        if hard:
-            msgs = "; ".join(v.message for v in hard)
-            raise ConfigError(f"configuration rejected: {msgs}")
+        try:
+            admit(spatial)
+        except ValueError as exc:
+            raise ConfigError(f"configuration rejected: {exc}")
 
     scenarios = []
     for fields, lineno in scenario_lines:
@@ -134,7 +135,7 @@ def load_config_text(text: str, strict: bool = True) -> LoadedConfig:
         if fields["model"] == "pde":
             fields.setdefault("rho0", fields.get("theta0"))
         try:
-            scenarios.append(runner.make_scenario(params, **fields))
+            scenarios.append(runner.Scenario(**fields).checked(params))  # admitted above
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid scenario: {exc}")
     return LoadedConfig(params=params, spatial=spatial, scenarios=scenarios,

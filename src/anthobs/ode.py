@@ -277,8 +277,8 @@ class ConditionFold:
         coer = np.abs(rot - rot_hat)[informative] / err[informative]
         phi2 = rot_innovation(o.theta_hat, m.drho_dt, rot_hat * (1.0 - m.rho))
         dom = k2 * np.abs(phi2) - k1 * volume_gap(o.theta_hat, o.v_hat, m.v, p.epsilon)
-        self.zero_times += np.unique(
-            np.broadcast_to(t, np.shape(alpha))[alpha < SINGULAR_TOL]).tolist()
+        self.zero_times += sorted(set(  # np.unique would import numpy.ma
+            np.broadcast_to(t, np.shape(alpha))[alpha < SINGULAR_TOL].tolist()))
         infima["alpha"].append(np.min(alpha))
         infima["dom"].append(np.min(dom))
         if coer.size:

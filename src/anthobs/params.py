@@ -18,6 +18,7 @@ __all__ = [
     "ParameterSet",
     "SpatialParameterSet",
     "Violation",
+    "admit",
     "gain_cap",
     "validate",
     "validate_spatial",
@@ -151,18 +152,6 @@ def _check_gains(k1: float, k2: float, dt: float) -> list[Violation]:
     return out
 
 
-def _check_seed(seed) -> list[Violation]:
-    """The seed rule: an ``int`` that is not a ``bool``, which a configuration
-    snapshot carries, and not negative, since ``seed + i`` draws the anisotropy
-    matrices; the violation, if any."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        return [Violation("seed", f"seed={seed!r} must be an integer", hard=True)]
-    if seed < 0:
-        return [Violation("seed", f"seed={seed} must be >= 0: seed + i draws the"
-                          " anisotropy matrices", hard=True)]
-    return []
-
-
 def _screen(obj, derived=()):
     """Check that every float field of ``obj``, and every spatial point, is
     finite.  Returns the violations and ``flag(key, message, hard=False,
@@ -252,8 +241,11 @@ def validate(p: ParameterSet) -> list[Violation]:
         flag("v_max", f"v_max={p.v_max} must be > 0", hard=True)
     if p.p1_const < 0.0:
         flag("p1_const", f"p1_const={p.p1_const} must be >= 0")
-    for v in _check_seed(p.seed):
-        flag(v.key, v.message, v.hard)
+    if isinstance(p.seed, bool) or not isinstance(p.seed, int):  # as a snapshot carries it
+        flag("seed", f"seed={p.seed!r} must be an integer", hard=True)
+    elif p.seed < 0:
+        flag("seed", f"seed={p.seed} must be >= 0: seed + i draws the anisotropy matrices",
+             hard=True)
     _check_selector(flag, "p1_mode", p.p1_mode, P1_MODES)
     _check_selector(flag, "p2_mode", p.p2_mode, P2_MODES)
     _check_selector(flag, "eta_mode", p.eta_mode, ETA_MODES)
@@ -275,3 +267,12 @@ def validate_spatial(sp: SpatialParameterSet) -> list[Violation]:
         flag("anisotropy_scale", f"anisotropy_scale={sp.anisotropy_scale} must be >= 0")
     _check_selector(flag, "spatial_profile", sp.spatial_profile, ("radial", "uniform"))
     return validate(sp.base) + out
+
+
+def admit(ps: ParameterSet | SpatialParameterSet) -> None:
+    """The admission rule of every run: ``ValueError`` with the hard violations of
+    ``ps`` (:func:`validate_spatial` for a spatial set), joined as the loader joins them."""
+    found = validate_spatial(ps) if isinstance(ps, SpatialParameterSet) else validate(ps)
+    hard = "; ".join(v.message for v in found if v.hard)
+    if hard:
+        raise ValueError(hard)

@@ -45,7 +45,7 @@ import numpy as np
 from . import config as configmod
 from . import forcing, metrics, ode, pde, svgplot
 from .fileio import write_atomic
-from .params import ParameterSet, SpatialParameterSet
+from .params import ParameterSet, SpatialParameterSet, admit
 from .stepping import OVERSHOOT_LIMIT, check_run, record_blocks, simulate, step_count
 from .systems import COMPONENTS, SpatialSystem, WithinHostSystem, check_inputs, state_box
 
@@ -131,23 +131,28 @@ class Scenario:
             bits.append(f"t{self.t0:g}-{self.t1:g}")
         return "_".join(bits)
 
+    def checked(self, p: ParameterSet) -> Scenario:
+        """This scenario, once its own checks against ``p`` pass; ``p`` itself
+        is admitted by the caller (:func:`make_scenario` admits it first)."""
+        if self.model not in ("ode", "pde"):
+            raise ValueError(f"model must be 'ode' or 'pde', got {self.model!r}")
+        check_inputs(p, self.theta0, self.v0, self.rho0, self.measurement)
+        check_run(self.t0, self.t1, p.dt, self.scheme, self.k1, self.k2)
+        if self.model == "ode" and self.rho0 > self.theta0:
+            raise ValueError(f"rho0={self.rho0} must not exceed theta0={self.theta0}")
+        if self.model == "pde" and self.rho0 != self.theta0:
+            raise ValueError(f"spatial runs take rho0 equal to theta0, got {self.rho0}")
+        if self.model == "pde":
+            pde.Grid(self.dim, self.n)  # raises on an invalid grid
+        return self
+
 
 def make_scenario(p: ParameterSet, model: str, theta0: float, v0: float,
                   rho0: float, k1: float, k2: float, **kwargs) -> Scenario:
-    """Build and validate a :class:`Scenario` against parameter set ``p``."""
-    s = Scenario(model=model, theta0=theta0, v0=v0, rho0=rho0,
-                 k1=k1, k2=k2, **kwargs)
-    if s.model not in ("ode", "pde"):
-        raise ValueError(f"model must be 'ode' or 'pde', got {s.model!r}")
-    check_inputs(p, s.theta0, s.v0, s.rho0, s.measurement)
-    check_run(s.t0, s.t1, p.dt, s.scheme, s.k1, s.k2)
-    if s.model == "ode" and s.rho0 > s.theta0:
-        raise ValueError(f"rho0={s.rho0} must not exceed theta0={s.theta0}")
-    if s.model == "pde" and s.rho0 != s.theta0:
-        raise ValueError(f"spatial runs take rho0 equal to theta0, got {s.rho0}")
-    if s.model == "pde":
-        pde.Grid(s.dim, s.n)  # raises on an invalid grid
-    return s
+    """Build and validate a :class:`Scenario` against parameter set ``p``,
+    which is refused as every run refuses it (:func:`anthobs.params.admit`)."""
+    admit(p)
+    return Scenario(model, theta0, v0, rho0, k1, k2, **kwargs).checked(p)
 
 
 def scenario_matrix(kind: str, p: ParameterSet | None = None) -> list[Scenario]:
@@ -158,24 +163,20 @@ def scenario_matrix(kind: str, p: ParameterSet | None = None) -> list[Scenario]:
     ``rho0 = theta0`` when none qualifies) and the four gain pairs.
     ``paper-pde``: the same four pairs with ``rho0 = theta0`` on the default
     2-D grid.  ``custom``: empty; scenarios come from the configuration file.
+    A paper matrix admits ``p`` once, as :func:`make_scenario` does.
     """
-    p = p or ParameterSet()
-    out: list[Scenario] = []
-    if kind == "paper-ode":
-        for theta0, v0 in FIGURE_PAIRS:
-            rho0s = [r for r in RHO0_GRID if r <= theta0] or [theta0]
-            for rho0 in rho0s:
-                for k1, k2 in GAIN_PAIRS:
-                    out.append(make_scenario(p, "ode", theta0, v0, rho0, k1, k2))
-    elif kind == "paper-pde":
-        for theta0, v0 in FIGURE_PAIRS:
-            for k1, k2 in GAIN_PAIRS:
-                out.append(make_scenario(p, "pde", theta0, v0, theta0, k1, k2))
-    elif kind == "custom":
-        pass
-    else:
+    if kind not in ("paper-ode", "paper-pde", "custom"):
         raise ValueError(f"unknown scenario matrix kind {kind!r}")
-    return out
+    if kind == "custom":
+        return []
+    p = p or ParameterSet()
+    admit(p)  # once for the matrix
+    within = kind == "paper-ode"
+    return [Scenario("ode" if within else "pde", theta0, v0, rho0, k1, k2).checked(p)
+            for theta0, v0 in FIGURE_PAIRS
+            for rho0 in (([r for r in RHO0_GRID if r <= theta0] or [theta0]) if within
+                         else [theta0])
+            for k1, k2 in GAIN_PAIRS]
 
 
 @dataclass
@@ -528,8 +529,10 @@ def sweep(kind: str, p: ParameterSet | None = None,
     only then.  Every scenario owns its output directory and writes what its
     lone run writes, so results are identical to a serial run of
     :func:`run_scenario`.
-    Raises ``ValueError`` before any run when ``workers < 1``, or when two
-    scenarios share a label, since they would write into the same directory.
+    Raises ``ValueError`` before any run when ``workers < 1``, when a paper
+    matrix's ``p`` is refused, or when two scenarios share a label, since they
+    would write into one directory; the runs of a scenario list that read a
+    refused set (``p`` or ``sp``) fail instead, with the refusal's text.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
@@ -773,6 +776,8 @@ def emit_plot(run_dir: str | Path, kind: str) -> Path:
         raise ValueError(f"unknown plot kind {kind!r}")
     run_dir = Path(run_dir)
     header, data = _read_csv(run_dir / "series.csv")
+    if tuple(header) not in (ODE_COLUMNS, PDE_COLUMNS) or data.shape[1] != len(header):
+        raise ValueError(f"{run_dir}: unexpected CSV table: columns {header}, shape {data.shape}")
     col = dict(zip(header, data.T))
     ylabel, curves = PLOTS[kind]
     if "theta" in col:  # within-host

@@ -129,8 +129,8 @@ class Trajectory:
     ``(theta, v, rho)``; ``observer`` has shape ``(n_records, 2[, *grid])``
     holding ``(theta_hat, v_hat)``; ``measurements`` holds ``(v, rho, drho_dt)``
     as consumed by the observer at each recorded time; both are ``None`` for
-    truth-only runs.  ``overshoot`` maps component names to the largest
-    pre-clamp excursion outside the box seen anywhere in the run.  A batch
+    truth-only runs (:func:`record_blocks`).  ``overshoot`` maps each component
+    to the largest pre-clamp excursion outside the box seen in the run.  A batch
     run adds a member axis after the component axis, and its ``overshoot``
     holds one value per member; :meth:`member` takes one member's run.
     """
@@ -198,8 +198,7 @@ def _validate_run(system, t0, t1, dt, scheme, record_stride) -> int:
 
 
 def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
-             record_stride: int = 10, truth_only: bool = False,
-             on_block=None) -> Trajectory:
+             record_stride: int = 10, on_block=None) -> Trajectory:
     """Advance truth and observer from ``t0`` to ``t1`` with fixed step ``dt``.
 
     Records every ``record_stride``-th step (plus the initial sample) and
@@ -213,8 +212,7 @@ def simulate(system, t0: float, t1: float, dt: float, scheme: str = "euler",
     derivative or state, :class:`OvershootError` when the box is left by more
     than ``OVERSHOOT_LIMIT``.
     """
-    blocks = record_blocks(system, t0, t1, dt, scheme, record_stride, truth_only,
-                           whole=on_block is None)
+    blocks = record_blocks(system, t0, t1, dt, scheme, record_stride, whole=on_block is None)
     while True:
         try:
             block = next(blocks)

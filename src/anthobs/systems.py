@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import ode, pde
-from .params import ParameterSet, SpatialParameterSet, _check_seed
+from .params import ParameterSet, SpatialParameterSet, admit
 from .stepping import cfl_step_limit, members
 
 __all__ = ["WithinHostSystem", "SpatialSystem", "MEASUREMENT_MODES", "check_inputs",
@@ -41,18 +41,16 @@ def state_box(p: ParameterSet) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(5), np.array([1.0, p.v_max, 1.0, 1.0, p.v_max])
 
 
-def check_inputs(p: ParameterSet, theta0: float, v0: float, rho0: float,
-                 measurement_mode: str) -> None:
-    """Reject a seed that breaks the seed rule of :mod:`anthobs.params`, an unknown
-    measurement mode or an initial state outside the box."""
-    seed = _check_seed(p.seed)
-    if seed:
-        raise ValueError(seed[0].message)
+def check_inputs(p: ParameterSet, theta0, v0, rho0, measurement_mode: str) -> None:
+    """Reject an unknown measurement mode or an initial state outside the box of
+    one run or of any batch member.  The set ``p`` is admitted once, before,
+    by :func:`anthobs.params.admit`, as every run and the loader admit it."""
     if measurement_mode not in MEASUREMENT_MODES:
         raise ValueError(f"unknown measurement mode {measurement_mode!r}")
-    for name, x, lo, hi in zip(("theta0", "v0", "rho0"), (theta0, v0, rho0), *state_box(p)):
-        if not lo <= x <= hi:
-            raise ValueError(f"initial state {name}={x} outside [{lo:g}, {hi:g}]")
+    for member in members(theta0, v0, rho0):
+        for name, x, lo, hi in zip(("theta0", "v0", "rho0"), member, *state_box(p)):
+            if not lo <= x <= hi:
+                raise ValueError(f"initial state {name}={x} outside [{lo:g}, {hi:g}]")
 
 
 def _measure(system, t: float, y, prev) -> ode.Measurement:
@@ -86,8 +84,8 @@ class WithinHostSystem:
 
     def __init__(self, p: ParameterSet, theta0, v0, rho0,
                  measurement_mode: str = "exact", gains=None):
-        for member in members(theta0, v0, rho0):
-            check_inputs(p, *member, measurement_mode)
+        admit(self.sp or p)  # refused with the loader's text; a spatial set with its keys
+        check_inputs(p, theta0, v0, rho0, measurement_mode)
         self.p = p
         self.gains = gains
         self.measurement_mode = measurement_mode

@@ -27,6 +27,7 @@ from anthobs.cli import main
 from anthobs.config import ConfigError, load_config, load_config_text, write_config
 from anthobs.fileio import write_atomic
 from anthobs.params import gain_cap, validate_spatial
+from anthobs.stepping import record_blocks
 
 
 def _floats(lo, hi):
@@ -249,6 +250,51 @@ class TestInputValidation:
         assert [r.status for r in records] == ["failed", "failed"]
         assert all(message in r.error for r in records)
 
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("p1_mode", "bogus", "p1_mode='bogus' not one of ['constant', 'zero']"),
+        ("p2_mode", "cubic", "p2_mode='cubic' not one of ['linear', 'quadratic']"),
+        ("eta_mode", "weird", "eta_mode='weird' not one of ['constant', 'seasonal']"),
+        ("sigma", 1.5, "sigma=1.5 outside ]0,1["),
+        ("sigma", 0.0, "sigma=0.0 outside ]0,1["),
+        ("v_max", 0.0, "v_max=0.0 must be > 0"),
+        ("b1", math.inf, "b1=inf must be finite"),
+        ("seed", -1, "seed=-1 must be >= 0"),
+        ("k1", 1e4, "gain cap exceeded"),
+        ("spatial_profile", "weird", "spatial_profile='weird' not one of ['radial', 'uniform']"),
+        ("diffusivity", -0.01, "diffusivity=-0.01 must be >= 0"),
+        ("x1", (0.0, math.nan), "x1=(0.0, nan) must be finite"),
+    ])
+    def test_hard_violations_refused_everywhere(self, p, tmp_path, key, value, fragment):
+        # a run admits exactly the sets that the loader of its snapshot admits,
+        # and refuses the others with the text the loader prints
+        spatial = key in {f.name for f in dataclasses.fields(SpatialParameterSet)}
+        bad_p = p if spatial else replace(p, **{key: value})
+        bad_sp = SpatialParameterSet(base=bad_p, **({key: value} if spatial else {}))
+        with pytest.raises(ConfigError) as loaded:
+            load_config_text(write_config(bad_p, bad_sp))
+        text = str(loaded.value).removeprefix("configuration rejected: ")
+        assert fragment in text
+        builders = [lambda: SpatialSystem(bad_sp, Grid(1, 4), 0.5, 0.5, 0.5)]
+        if not spatial:
+            builders += [lambda: runner.make_scenario(bad_p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0),
+                         lambda: runner.make_scenario(bad_p, "pde", 0.5, 0.5, 0.5, 0.0, 0.0),
+                         lambda: WithinHostSystem(bad_p, 0.5, 0.5, 0.25)]
+        for build in builders:
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                build()
+        # a sweep of such a set fails each run that reads it, and check says so
+        scenarios = [runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.002),
+                     runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, 0.0, 0.0, t1=0.002,
+                                          dim=1, n=4)]
+        records = runner.sweep("custom", bad_p, bad_sp, out_dir=tmp_path, scenarios=scenarios)
+        failed = records[1:] if spatial else records  # a within-host run reads no spatial key
+        assert [r.status for r in records] == ["ok"] * (2 - len(failed)) + ["failed"] * len(failed)
+        assert all(r.error == f"ValueError: {text}" for r in failed)
+        problems = runner.check_artifacts(tmp_path)
+        assert not any("configuration rejected" in problem for problem in problems)
+        for r in failed:
+            assert f"{r.out_dir}: recorded status 'failed' (ValueError: {text})" in problems
+
     def test_unknown_scheme(self, p):
         with pytest.raises(ValueError, match="scheme"):
             runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 0.0, 0.0, scheme="leapfrog")
@@ -269,12 +315,16 @@ class TestInputValidation:
             simulate(WithinHostSystem(replace(p, k1=k1), 0.5, 0.5, 0.25), 0.0, t1, p.dt)
 
     def test_infinite_step_named(self, p):
-        # the gain cap 1/(10*dt) of dt = inf is 0: the step is at fault, not the gain
-        p = replace(p, dt=math.inf, k1=1e3)
-        for run in (lambda: runner.make_scenario(p, "ode", 0.5, 0.5, 0.25, 1e3, 0.0),
-                    lambda: simulate(WithinHostSystem(p, 0.5, 0.5, 0.25), 0.0, 1.0, p.dt)):
-            with pytest.raises(ValueError, match="^dt=inf must be a positive finite step$"):
+        # the gain cap 1/(10*dt) of dt = inf is 0: the step is at fault, not the gain;
+        # a set with that step is refused first, a run with it by check_run
+        bad = replace(p, dt=math.inf, k1=1e3)
+        for run in (lambda: runner.make_scenario(bad, "ode", 0.5, 0.5, 0.25, 1e3, 0.0),
+                    lambda: simulate(WithinHostSystem(bad, 0.5, 0.5, 0.25), 0.0, 1.0, bad.dt)):
+            with pytest.raises(ValueError, match="^dt=inf must be finite$"):
                 run()
+        system = WithinHostSystem(replace(p, k1=1e3), 0.5, 0.5, 0.25)
+        with pytest.raises(ValueError, match="^dt=inf must be a positive finite step$"):
+            simulate(system, 0.0, 1.0, math.inf)
 
 
 def _streamed(group, sp, grid) -> tuple[dict, list[int]]:
@@ -299,8 +349,9 @@ class TestVolumeSensitivity:
         sens = fields[(1.0, 0.5, 1.0)]
         assert sizes == [3, 3, 3, 2]
         lower = 1.0 - runner.SENSITIVITY_DELTA
-        v = [simulate(SpatialSystem(sp1, grid, theta0, 0.5, 1.0), 0.0, 0.01, p.dt,
-                      record_stride=runner.RECORD_STRIDE, truth_only=True).truth[:, 1]
+        v = [next(record_blocks(SpatialSystem(sp1, grid, theta0, 0.5, 1.0), 0.0, 0.01, p.dt,
+                                record_stride=runner.RECORD_STRIDE, truth_only=True,
+                                whole=True)).truth[:, 1]
              for theta0 in (1.0, lower)]
         np.testing.assert_allclose(sens, (v[0] - v[1]) / (1.0 - lower), rtol=1e-12, atol=0)
         assert np.abs(sens[-1]).min() > 0.0
@@ -1649,6 +1700,19 @@ class TestCli:
         cfg.write_text("sigma = 1.0\n")
         assert main(["validate", str(cfg)]) == 1
 
+    def test_validate_lists_the_errors_of_a_set_with_scenarios(self, tmp_path, capsys):
+        # the scenarios of a refused set are checked without its admission:
+        # validate lists every violation of the set, or names a broken scenario line
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sigma = 1.5\nseed = -1\nscenario = ode theta0=0.5 v0=0.5 rho0=0.25\n")
+        assert main(["validate", str(cfg)]) == 1
+        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error")]
+        assert [e.split()[1] for e in errors] == ["sigma=1.5", "seed=-1"]
+        cfg.write_text("sigma = 1.5\nscenario = ode theta0=0.25 v0=0.5 rho0=0.5\n")
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("configuration error: line 2: invalid scenario:"
+                                           " rho0=0.5 must not exceed theta0=0.25\n")
+
     def test_validate_lists_gain_cap(self, tmp_path, capsys):
         cfg = tmp_path / "cap.cfg"
         cfg.write_text("k1 = 10000\n")
@@ -1711,10 +1775,17 @@ class TestCli:
         message = f"workers={workers} must be >= 1"
         with pytest.raises(ValueError, match=f"^{message}$"):
             runner.sweep("paper-ode", out_dir=tmp_path / "direct", workers=workers)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep = paper-ode\n"
+                       "scenario = ode theta0=0.75 v0=0.5 rho0=0.25 t1=0.002\n")
         out = tmp_path / "cli"
-        assert main(["sweep", "paper-ode", "--workers", str(workers), "-o", str(out)]) == 2
+        assert main(["run", str(cfg), "--workers", str(workers), "-o", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [cfg]
+        # a paper sweep is one group, which no pool splits: `sweep` takes no --workers
+        with pytest.raises(SystemExit):
+            main(["sweep", "paper-ode", "--workers", "2", "-o", str(out)])
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_run_empty_config(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
@@ -1751,6 +1822,23 @@ class TestCli:
         assert sorted(tmp_path.glob("paper-ode/*/*.svg")) == svgs
         assert runner.scenario_dirs(tmp_path) == sorted(
             tmp_path / "paper-ode" / s.label for s in fast_scenarios)
+
+    @pytest.mark.parametrize("damage", ["renamed column", "extra value per row"])
+    @pytest.mark.parametrize("model", ["ode", "pde"])
+    def test_plot_refuses_a_table_of_neither_model(self, p, tmp_path, fast_scenarios, capsys,
+                                                    model, damage):
+        # the CSV parses, but it is no run's table: an error, not a traceback
+        runner.sweep("custom", p, out_dir=tmp_path, scenarios=fast_scenarios)
+        d = next(tmp_path.glob(f"{model}_*"))
+        header, *rows = (d / "series.csv").read_text().splitlines()
+        if damage == "renamed column":
+            header = header.replace("theta_hat", "theta_hut")
+        else:
+            rows = [row + ",0" for row in rows]
+        (d / "series.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert main(["plot", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {d}: unexpected CSV table: columns {header.split(',')}")
 
     def test_plot_without_artifacts(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path)]) == 2
@@ -1825,14 +1913,17 @@ from anthobs import runner
 p = anthobs.ParameterSet()
 scenarios = [runner.make_scenario(p, "pde", 0.5, 0.5, 0.5, k1, 0.0, t1=0.002, dim=2, n=8)
              for k1 in (0.0, 1e3)]
+scenarios.append(runner.make_scenario(p, "ode", 0.75, 0.5, 0.25, 0.0, 0.0, t1=0.002))
 records = runner.sweep("custom", p, out_dir=sys.argv[1], scenarios=scenarios)
-assert [r.status for r in records] == ["ok", "ok"]
+assert [r.status for r in records] == ["ok", "ok", "ok"]
 assert runner.check_artifacts(sys.argv[1]) == []
 assert "numpy.random" not in sys.modules
+assert "numpy.ma" not in sys.modules
 """
 
 
 def test_spatial_sweep_imports_no_numpy_random(tmp_path):
-    # the anisotropy matrices come from forcing's own draw of numpy's stream
+    # the anisotropy matrices come from forcing's own draw of numpy's stream,
+    # and the zero times of alpha are not taken by np.unique, which imports numpy.ma
     done = _run_python(SPATIAL_RUN, str(tmp_path))
     assert done.returncode == 0, done.stderr

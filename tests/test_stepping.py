@@ -279,7 +279,8 @@ class TestSimulate:
             full = simulate(make(), 0.0, 0.01, 1e-4)
             system = make()
             system.measure = refuse
-            traj = simulate(system, 0.0, 0.01, 1e-4, truth_only=True)
+            traj = next(stepping.record_blocks(system, 0.0, 0.01, 1e-4, truth_only=True,
+                                               whole=True))
             assert traj.observer is None and traj.measurements is None
             assert len(traj) == 11
             assert np.array_equal(traj.truth, full.truth)
